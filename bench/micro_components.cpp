@@ -67,10 +67,11 @@ void BM_LusTableRecordLookup(benchmark::State& state) {
 BENCHMARK(BM_LusTableRecordLookup);
 
 void BM_ReleaseQueueCycle(benchmark::State& state) {
-  // One branch level with a scheduling, confirmed each round.
+  // One branch level with a scheduling, confirmed each round; the queue is
+  // reused, as in the core, so the rounds run without allocating.
+  core::ReleaseQueue q(/*max_levels=*/20);
   core::InstSeq seq = 1;
   for (auto _ : state) {
-    core::ReleaseQueue q;
     q.push_level(seq);
     q.schedule_committed(static_cast<core::PhysReg>(40 + seq % 8));
     q.schedule_inflight(seq + 1, core::kRel1);

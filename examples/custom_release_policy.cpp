@@ -23,12 +23,13 @@ namespace {
 
 using namespace erel;
 using core::InstSeq;
-using core::LUsTable;
-using core::PolicyCheckpoint;
 using core::RenameRec;
 using core::UseKind;
 
-/// Basic mechanism restricted to source-operand last uses.
+/// Basic mechanism restricted to source-operand last uses. It writes the
+/// class's LUs Table (rf_.lus); the rename unit checkpoints and restores
+/// that table, keeps its C bits current and resets it on an exception, so
+/// the policy holds no state of its own.
 class SourceOnlyBasic final : public core::ReleasePolicy {
  public:
   using ReleasePolicy::ReleasePolicy;
@@ -38,10 +39,10 @@ class SourceOnlyBasic final : public core::ReleasePolicy {
   }
 
   void record_src_use(unsigned logical, InstSeq seq, UseKind kind) override {
-    lus_.record_use(logical, seq, kind);
+    rf_.lus.record_use(logical, seq, kind);
   }
   void record_dst_use(unsigned logical, InstSeq seq) override {
-    lus_.record_use(logical, seq, UseKind::Dst);
+    rf_.lus.record_use(logical, seq, UseKind::Dst);
   }
 
   [[nodiscard]] bool can_rename_dest(unsigned, InstSeq, bool) const override {
@@ -57,7 +58,7 @@ class SourceOnlyBasic final : public core::ReleasePolicy {
       rec.rel_old = false;
       return {};
     }
-    const core::LUsEntry entry = lus_.lookup(rd);
+    const core::LUsEntry entry = rf_.lus.lookup(rd);
     // Only Figure-4a cases (source reads), only when LU is still in flight
     // and no unverified branch separates the pair.
     if (entry.kind != UseKind::Src1 && entry.kind != UseKind::Src2) return {};
@@ -72,29 +73,12 @@ class SourceOnlyBasic final : public core::ReleasePolicy {
     return {};
   }
 
-  void on_commit(const RenameRec& rec, InstSeq seq,
+  void on_commit(const RenameRec& rec, InstSeq,
                  std::uint64_t cycle) override {
-    lus_.on_commit(seq);
     release_rel_bits(rec, cycle);
     if (owns_dst(rec) && rec.rel_old && rec.old_pd != core::kNoReg)
       rf_.release(rec.old_pd, cycle, /*squashed=*/false);
   }
-
-  void make_checkpoint_into(PolicyCheckpoint& cp) const override {
-    cp.lus = lus_.snapshot();
-    cp.has_lus = true;
-  }
-  void restore_checkpoint(const PolicyCheckpoint& cp) override {
-    lus_.restore(cp.lus);
-  }
-  void commit_update_checkpoint(PolicyCheckpoint& cp,
-                                InstSeq seq) const override {
-    LUsTable::update_commit_in(cp.lus, seq);
-  }
-  void on_exception_flush() override { lus_.reset_architectural(); }
-
- private:
-  LUsTable lus_;
 };
 
 double run_with(const arch::Program& program, sim::SimConfig config) {

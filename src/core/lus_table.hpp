@@ -5,20 +5,29 @@
 // number), the role of that use (`Kind`: src1/src2/dst) and whether that
 // instruction has already committed (`C`).
 //
-// Like the Map Table, the LUs Table is checkpointed at every branch and
-// restored on misprediction; commit-time C-bit updates are applied to the
-// working copy *and* to every live checkpoint (paper §3.2: "this action on
-// bit C has to be extended to all LUs Table copies").
+// The C bit is not stored: it is derived from the commit frontier, the
+// sequence number of the last committed instruction. An entry's C bit is set
+// exactly when its instruction is in the Arch state or no younger than the
+// frontier. That is the value the paper's commit-time update gives ("this
+// action on bit C has to be extended to all LUs Table copies", §3.2): commits
+// happen in program order, every entry names a live or committed instruction
+// (a misprediction rolls back the entries of squashed instructions before
+// their sequence numbers are reused), so "committed" and "at or before the
+// frontier" coincide, in the working table and in every restored checkpoint
+// alike. The hardware broadcast becomes one store per commit.
 //
-// After an exception flush the table resets to the `Arch` state: every entry
-// says "the architectural version's last use has committed", which lets the
-// next redefinition release the mapped version immediately (unless the
-// mapping is stale).
+// Writes are logged to the rename history (see rename_history.hpp), which
+// restores older last uses on a misprediction. After an exception flush the
+// table resets to the `Arch` state: every entry says "the architectural
+// version's last use has committed", which lets the next redefinition
+// release the mapped version immediately (unless the mapping is stale).
 #pragma once
 
 #include <array>
 #include <cstdint>
 
+#include "common/log.hpp"
+#include "core/rename_history.hpp"
 #include "core/types.hpp"
 
 namespace erel::core {
@@ -31,32 +40,48 @@ struct LUsEntry {
 
 class LUsTable {
  public:
-  using Snapshot = std::array<LUsEntry, isa::kNumLogicalRegs>;
-
   LUsTable() { reset_architectural(); }
 
-  [[nodiscard]] const LUsEntry& lookup(unsigned logical) const;
+  /// The entry of `logical`, its C bit derived from the commit frontier.
+  [[nodiscard]] LUsEntry lookup(unsigned logical) const {
+    EREL_CHECK(logical < isa::kNumLogicalRegs);
+    const LastUse& use = table_[logical];
+    return LUsEntry{use.seq, use.kind,
+                    use.seq == kNoSeq || use.seq <= committed_};
+  }
 
   /// Records instruction `seq` as the new last use of `logical` (Renaming
   /// step 1 / step 3 of §3.2).
-  void record_use(unsigned logical, InstSeq seq, UseKind kind);
+  void record_use(unsigned logical, InstSeq seq, UseKind kind) {
+    EREL_CHECK(logical < isa::kNumLogicalRegs);
+    EREL_CHECK(kind != UseKind::Arch);
+    if (history_ != nullptr) history_->save(table_[logical]);
+    table_[logical] = LastUse{seq, kind};
+  }
 
-  /// Commit-time C-bit update for one committing instruction: any entry
-  /// still pointing at `seq` is marked committed. Must also be applied to
-  /// checkpoints — see update_commit_in().
-  void on_commit(InstSeq seq);
+  /// Instruction `seq` committed (in program order): it becomes the commit
+  /// frontier, which sets the C bit of every entry naming it.
+  void on_commit(InstSeq seq) {
+    EREL_CHECK(seq >= committed_, "commit out of program order: ", seq);
+    committed_ = seq;
+  }
 
-  /// Same update applied to a snapshot (checkpoint copy).
-  static void update_commit_in(Snapshot& snapshot, InstSeq seq);
+  /// Exception flush: every entry becomes {Arch, committed}. Not logged:
+  /// the flush drops the rename history as well.
+  void reset_architectural() { table_.fill(LastUse{kNoSeq, UseKind::Arch}); }
 
-  /// Exception flush: every entry becomes {Arch, committed}.
-  void reset_architectural();
-
-  [[nodiscard]] Snapshot snapshot() const { return table_; }
-  void restore(const Snapshot& snapshot) { table_ = snapshot; }
+  /// From now on every record_use() is logged to `history`.
+  void attach(RenameHistory& history) { history_ = &history; }
 
  private:
-  Snapshot table_;
+  struct LastUse {
+    InstSeq seq;
+    UseKind kind;
+  };
+
+  std::array<LastUse, isa::kNumLogicalRegs> table_;
+  InstSeq committed_ = 0;  // commit frontier (sequence numbers start at 1)
+  RenameHistory* history_ = nullptr;
 };
 
 }  // namespace erel::core

@@ -10,14 +10,15 @@
 //     release. Double release / double alloc are caught by the FreeList.
 //  3. Conservation: allocated + free == P at all times (asserted by tests).
 //
-// RegFileState bundles the tracker with the free list, map tables, value
-// array and ready (scoreboard) bits for one register class.
+// RegFileState bundles the tracker with the free list, map tables, LUs
+// Table, value array and ready (scoreboard) bits for one register class.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/free_list.hpp"
+#include "core/lus_table.hpp"
 #include "core/map_table.hpp"
 #include "core/types.hpp"
 
@@ -142,6 +143,7 @@ struct RegFileState {
   FreeList free_list;
   MapTable map;
   InOrderMapTable iomt;
+  LUsTable lus;  // written only by the policies that use last uses
   RegTracker tracker;
   std::vector<std::uint64_t> value;
   std::vector<bool> ready;  // scoreboard: value available for consumers

@@ -52,11 +52,6 @@ void ReleasePolicy::on_branch_decoded(InstSeq) {}
 void ReleasePolicy::on_branch_confirmed(InstSeq, std::uint64_t) {}
 void ReleasePolicy::on_branch_mispredicted(InstSeq) {}
 
-void ReleasePolicy::make_checkpoint_into(PolicyCheckpoint& cp) const {
-  cp.has_lus = false;
-}
-void ReleasePolicy::restore_checkpoint(const PolicyCheckpoint&) {}
-void ReleasePolicy::commit_update_checkpoint(PolicyCheckpoint&, InstSeq) const {}
 void ReleasePolicy::on_exception_flush() {}
 
 void ReleasePolicy::release_rel_bits(const RenameRec& rec, std::uint64_t cycle) {
@@ -134,11 +129,11 @@ class BasicPolicy : public ReleasePolicy {
   [[nodiscard]] PolicyKind kind() const override { return PolicyKind::Basic; }
 
   void record_src_use(unsigned logical, InstSeq seq, UseKind kind) override {
-    lus_.record_use(logical, seq, kind);
+    rf_.lus.record_use(logical, seq, kind);
   }
 
   void record_dst_use(unsigned logical, InstSeq seq) override {
-    lus_.record_use(logical, seq, UseKind::Dst);
+    rf_.lus.record_use(logical, seq, UseKind::Dst);
   }
 
   [[nodiscard]] bool can_rename_dest(unsigned rd, InstSeq nv_seq,
@@ -168,14 +163,7 @@ class BasicPolicy : public ReleasePolicy {
       case Case::ScheduleAtLu: {
         // Case 1, LU in flight: set the matching early-release bit in LU's
         // ROS entry and disconnect NV's conventional release (Figure 6b).
-        const LUsEntry entry = lus_.lookup(rd);
-        RenameRec* lu = hooks_.find_inflight(entry.seq);
-        EREL_CHECK(lu != nullptr, "uncommitted LU ", entry.seq,
-                   " not in flight");
-        const std::uint8_t bit = rel_bit_for(entry.kind);
-        EREL_CHECK((lu->rel_bits & bit) == 0, "double scheduling on LU ",
-                   entry.seq);
-        lu->rel_bits |= bit;
+        set_rel_bit_at_lu(rd);
         rec.rel_old = false;
         return {};
       }
@@ -189,10 +177,8 @@ class BasicPolicy : public ReleasePolicy {
     return {};
   }
 
-  void on_commit(const RenameRec& rec, InstSeq seq,
+  void on_commit(const RenameRec& rec, InstSeq,
                  std::uint64_t cycle) override {
-    // C-bit update: any LUs entry naming this instruction is now committed.
-    lus_.on_commit(seq);
     // Early releases synchronized with this (LU) commit.
     release_rel_bits(rec, cycle);
     // Conventional path for NVs that could not schedule early.
@@ -202,23 +188,6 @@ class BasicPolicy : public ReleasePolicy {
     }
   }
 
-  void make_checkpoint_into(PolicyCheckpoint& cp) const override {
-    cp.lus = lus_.snapshot();
-    cp.has_lus = true;
-  }
-
-  void restore_checkpoint(const PolicyCheckpoint& cp) override {
-    EREL_CHECK(cp.has_lus);
-    lus_.restore(cp.lus);
-  }
-
-  void commit_update_checkpoint(PolicyCheckpoint& cp,
-                                InstSeq seq) const override {
-    LUsTable::update_commit_in(cp.lus, seq);
-  }
-
-  void on_exception_flush() override { lus_.reset_architectural(); }
-
  protected:
   enum class Case { StaleSuppressed, Fallback, ScheduleAtLu, Reuse };
 
@@ -226,7 +195,7 @@ class BasicPolicy : public ReleasePolicy {
   [[nodiscard]] Case classify(unsigned rd, InstSeq nv_seq) const {
     const Mapping& old = rf_.map.get(rd);
     if (old.stale) return Case::StaleSuppressed;
-    const LUsEntry& entry = lus_.lookup(rd);
+    const LUsEntry& entry = rf_.lus.lookup(rd);
     // Arch entries (post-flush / program start) behave as an LU committed at
     // sequence 0: any pending branch older than NV blocks Case 1.
     const InstSeq lu_seq = entry.seq == kNoSeq ? 0 : entry.seq;
@@ -234,7 +203,24 @@ class BasicPolicy : public ReleasePolicy {
     return entry.committed ? Case::Reuse : Case::ScheduleAtLu;
   }
 
-  LUsTable lus_;
+  /// Rename record of LU instruction `seq`: not yet committed, so it must
+  /// still be in flight.
+  RenameRec& inflight_lu(InstSeq seq) {
+    RenameRec* lu = hooks_.find_inflight(seq);
+    EREL_CHECK(lu != nullptr, "uncommitted LU ", seq, " not in flight");
+    return *lu;
+  }
+
+  /// Sets the early-release bit for the previous version of `rd` in the
+  /// record of its in-flight LU instruction.
+  void set_rel_bit_at_lu(unsigned rd) {
+    const LUsEntry entry = rf_.lus.lookup(rd);
+    RenameRec& lu = inflight_lu(entry.seq);
+    const std::uint8_t bit = rel_bit_for(entry.kind);
+    EREL_CHECK((lu.rel_bits & bit) == 0, "double scheduling on LU ",
+               entry.seq);
+    lu.rel_bits |= bit;
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -243,7 +229,8 @@ class BasicPolicy : public ReleasePolicy {
 
 class ExtendedPolicy final : public BasicPolicy {
  public:
-  using BasicPolicy::BasicPolicy;
+  ExtendedPolicy(RegFileState& rf, PipelineHooks& hooks, unsigned max_levels)
+      : BasicPolicy(rf, hooks), relque_(max_levels) {}
 
   [[nodiscard]] PolicyKind kind() const override {
     return PolicyKind::Extended;
@@ -276,14 +263,7 @@ class ExtendedPolicy final : public BasicPolicy {
         return {};
       case ExtCase::ScheduleRwc0: {
         // Non-speculative NV, LU in flight: unconditional rel bit (RwC0).
-        const LUsEntry entry = lus_.lookup(rd);
-        RenameRec* lu = hooks_.find_inflight(entry.seq);
-        EREL_CHECK(lu != nullptr, "uncommitted LU ", entry.seq,
-                   " not in flight");
-        const std::uint8_t bit = rel_bit_for(entry.kind);
-        EREL_CHECK((lu->rel_bits & bit) == 0, "double scheduling on LU ",
-                   entry.seq);
-        lu->rel_bits |= bit;
+        set_rel_bit_at_lu(rd);
         return {};
       }
       case ExtCase::ScheduleRwns: {
@@ -294,8 +274,10 @@ class ExtendedPolicy final : public BasicPolicy {
       }
       case ExtCase::ScheduleRwc: {
         // Speculative NV, LU in flight: commit-synchronized conditional
-        // release at TAIL.
-        const LUsEntry entry = lus_.lookup(rd);
+        // release at TAIL. The mark on LU's record lets commits of
+        // instructions with no RwC filing skip the Release Queue.
+        const LUsEntry entry = rf_.lus.lookup(rd);
+        inflight_lu(entry.seq).rwc_filed = true;
         relque_.schedule_inflight(entry.seq, rel_bit_for(entry.kind));
         ++stats_.conditional_schedulings;
         return {};
@@ -306,10 +288,9 @@ class ExtendedPolicy final : public BasicPolicy {
 
   void on_commit(const RenameRec& rec, InstSeq seq,
                  std::uint64_t cycle) override {
-    lus_.on_commit(seq);
     // Conditional schedulings synchronized with this commit migrate from
     // RwCn to RwNSn (Step 5; the register ids come from the ROS PRid filed).
-    relque_.on_lu_commit(seq, rec.p1, rec.p2, rec.pd);
+    if (rec.rwc_filed) relque_.on_lu_commit(seq, rec.p1, rec.p2, rec.pd);
     // RwC0: unconditional commit-synchronized releases.
     release_rel_bits(rec, cycle);
     EREL_CHECK(!(owns_dst(rec) && rec.rel_old),
@@ -321,16 +302,16 @@ class ExtendedPolicy final : public BasicPolicy {
   }
 
   void on_branch_confirmed(InstSeq branch_seq, std::uint64_t cycle) override {
-    ReleaseQueue::ConfirmResult result = relque_.confirm(branch_seq);
+    const ReleaseQueue::ConfirmResult result = relque_.confirm(branch_seq);
     for (const PhysReg p : result.release_now) {
       rf_.release(p, cycle, /*squashed=*/false);
       ++stats_.branch_confirm_releases;
     }
-    for (const auto& [lu_seq, bits] : result.to_rwc0) {
-      RenameRec* lu = hooks_.find_inflight(lu_seq);
-      EREL_CHECK(lu != nullptr, "RwC1 entry for vanished LU ", lu_seq);
-      EREL_CHECK((lu->rel_bits & bits) == 0);
-      lu->rel_bits |= bits;
+    for (const ReleaseQueue::RwcEntry& entry : result.to_rwc0) {
+      RenameRec* lu = hooks_.find_inflight(entry.lu_seq);
+      EREL_CHECK(lu != nullptr, "RwC1 entry for vanished LU ", entry.lu_seq);
+      EREL_CHECK((lu->rel_bits & entry.bits) == 0);
+      lu->rel_bits |= entry.bits;
     }
   }
 
@@ -338,10 +319,7 @@ class ExtendedPolicy final : public BasicPolicy {
     relque_.mispredict(branch_seq);
   }
 
-  void on_exception_flush() override {
-    BasicPolicy::on_exception_flush();
-    relque_.clear();
-  }
+  void on_exception_flush() override { relque_.clear(); }
 
   [[nodiscard]] std::size_t relque_population() const override {
     return relque_.total_scheduled();
@@ -361,7 +339,7 @@ class ExtendedPolicy final : public BasicPolicy {
   [[nodiscard]] ExtCase classify_ext(unsigned rd, InstSeq) const {
     const Mapping& old = rf_.map.get(rd);
     if (old.stale) return ExtCase::StaleSuppressed;
-    const LUsEntry& entry = lus_.lookup(rd);
+    const LUsEntry& entry = rf_.lus.lookup(rd);
     // The release must survive only if NV survives, so it is conditional on
     // *every* pending branch older than NV — i.e. all of them (Step 2).
     const bool speculative = hooks_.pending_branch_count() > 0;
@@ -374,14 +352,16 @@ class ExtendedPolicy final : public BasicPolicy {
 }  // namespace
 
 std::unique_ptr<ReleasePolicy> make_policy(PolicyKind kind, RegFileState& rf,
-                                           PipelineHooks& hooks) {
+                                           PipelineHooks& hooks,
+                                           unsigned max_pending_branches) {
   switch (kind) {
     case PolicyKind::Conventional:
       return std::make_unique<ConventionalPolicy>(rf, hooks);
     case PolicyKind::Basic:
       return std::make_unique<BasicPolicy>(rf, hooks);
     case PolicyKind::Extended:
-      return std::make_unique<ExtendedPolicy>(rf, hooks);
+      return std::make_unique<ExtendedPolicy>(rf, hooks,
+                                              max_pending_branches);
   }
   EREL_FATAL("unknown policy kind");
 }

@@ -10,10 +10,14 @@
 //     Queue: releases conditional on pending branches migrate toward the
 //     unconditional level as branches confirm (§4).
 //
-// A policy instance manages one register class; it owns the class's LUs
-// Table (and Release Queue for Extended) and performs every release through
-// the shared RegFileState so the free list / tracker invariants hold for all
-// policies identically.
+// A policy instance manages one register class and performs every release
+// through the shared RegFileState so the free list / tracker invariants hold
+// for all policies identically. Policies that track last uses write the
+// class's LUs Table (RegFileState::lus); Extended also owns a Release Queue.
+// Branch checkpoints are not a policy concern: the RenameUnit's rename
+// history undoes Map and LUs Table writes on a misprediction, advances the
+// LUs commit frontier on every commit and resets the LUs Table on an
+// exception flush, so a custom policy implements decisions only.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +26,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/lus_table.hpp"
 #include "core/reg_state.hpp"
 #include "core/release_queue.hpp"
 #include "core/types.hpp"
@@ -57,13 +60,6 @@ struct PolicyStats {
   std::uint64_t conditional_schedulings = 0; // placed into the RelQue
   std::uint64_t fallback_conventional = 0;   // basic: Case-2 NVs
   std::uint64_t stale_suppressed = 0;        // releases suppressed (dead map)
-};
-
-/// Aux state stored inside every branch checkpoint next to the Map Table
-/// snapshot (the paper's "LUs Table copy at each branch prediction").
-struct PolicyCheckpoint {
-  LUsTable::Snapshot lus{};
-  bool has_lus = false;
 };
 
 class ReleasePolicy {
@@ -104,8 +100,8 @@ class ReleasePolicy {
 
   // ---- commit-time hook (in program order) ----
 
-  /// Updates C bits, performs commit-synchronized releases (rel bits /
-  /// old_pd), and migrates RelQue schedulings.
+  /// Performs commit-synchronized releases (rel bits / old_pd) and migrates
+  /// RelQue schedulings. The LUs commit frontier already includes `seq`.
   virtual void on_commit(const RenameRec& rec, InstSeq seq,
                          std::uint64_t cycle);
 
@@ -115,22 +111,8 @@ class ReleasePolicy {
   virtual void on_branch_confirmed(InstSeq branch_seq, std::uint64_t cycle);
   virtual void on_branch_mispredicted(InstSeq branch_seq);
 
-  // ---- checkpointing of policy-private state (the LUs Table) ----
-
-  /// Fills `cp` in place (policies without aux state only clear has_lus, so
-  /// checkpoint-heavy paths never copy an unused LUs snapshot around).
-  virtual void make_checkpoint_into(PolicyCheckpoint& cp) const;
-  [[nodiscard]] PolicyCheckpoint make_checkpoint() const {
-    PolicyCheckpoint cp;
-    make_checkpoint_into(cp);
-    return cp;
-  }
-  virtual void restore_checkpoint(const PolicyCheckpoint& cp);
-  /// Applies a committing instruction's C-bit update to a checkpoint copy.
-  virtual void commit_update_checkpoint(PolicyCheckpoint& cp,
-                                        InstSeq seq) const;
-
-  /// Exception flush: pipeline emptied, map restored from the IOMT.
+  /// Exception flush: pipeline emptied, map restored from the IOMT, LUs
+  /// Table reset to the Arch state.
   virtual void on_exception_flush();
 
   [[nodiscard]] const PolicyStats& stats() const { return stats_; }
@@ -151,8 +133,10 @@ class ReleasePolicy {
   PolicyStats stats_;
 };
 
-/// Factory keyed by the experiment configuration.
+/// Factory keyed by the experiment configuration. `max_pending_branches` is
+/// the checkpoint stack depth, which sizes the Extended Release Queue.
 std::unique_ptr<ReleasePolicy> make_policy(PolicyKind kind, RegFileState& rf,
-                                           PipelineHooks& hooks);
+                                           PipelineHooks& hooks,
+                                           unsigned max_pending_branches);
 
 }  // namespace erel::core

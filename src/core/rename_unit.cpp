@@ -7,21 +7,19 @@ namespace erel::core {
 using isa::RegClass;
 
 RenameUnit::RenameUnit(const RenameConfig& config, PipelineHooks& hooks)
-    : config_(config) {
-  slots_.resize(config.max_pending_branches);
-  order_.reserve(config.max_pending_branches);
-  free_.reserve(config.max_pending_branches);
-  for (std::uint32_t id = config.max_pending_branches; id-- > 0;)
-    free_.push_back(id);
+    : config_(config), history_(config.max_pending_branches) {
   state_[0] = std::make_unique<RegFileState>(RC::Int, config.phys_int);
   state_[1] = std::make_unique<RegFileState>(RC::Fp, config.phys_fp);
   for (unsigned c = 0; c < kNumClasses; ++c) {
+    state_[c]->map.attach(history_);
+    state_[c]->lus.attach(history_);
     if (config.policy_factory) {
       policy_[c] =
           config.policy_factory(static_cast<RC>(c), *state_[c], hooks);
       EREL_CHECK(policy_[c] != nullptr, "policy factory returned null");
     } else {
-      policy_[c] = make_policy(config.policy, *state_[c], hooks);
+      policy_[c] = make_policy(config.policy, *state_[c], hooks,
+                               config.max_pending_branches);
     }
   }
 }
@@ -91,56 +89,21 @@ bool RenameUnit::try_rename(const isa::DecodedInst& inst, InstSeq seq,
 
 void RenameUnit::note_branch_decoded(InstSeq seq) {
   EREL_CHECK(can_checkpoint(), "checkpoint stack overflow");
-  EREL_CHECK(order_.empty() || slots_[order_.back()].branch_seq < seq);
-  // Built in place inside a recycled slot: no allocation, no copy of the
-  // ~1 KB snapshot arrays beyond the snapshots themselves.
-  const std::uint32_t id = free_.back();
-  free_.pop_back();
-  order_.push_back(id);
-  Checkpoint& cp = slots_[id];
-  cp.branch_seq = seq;
-  for (unsigned c = 0; c < kNumClasses; ++c) {
-    cp.map[c] = state_[c]->map.snapshot();
-    policy_[c]->make_checkpoint_into(cp.aux[c]);
+  history_.open(seq);
+  for (unsigned c = 0; c < kNumClasses; ++c)
     policy_[c]->on_branch_decoded(seq);
-  }
 }
 
 void RenameUnit::on_branch_confirmed(InstSeq seq, std::uint64_t cycle) {
-  // Branches verify out of order: retire the matching checkpoint wherever
-  // it sits in the stack (only its 4-byte slot id moves).
-  bool found = false;
-  for (auto it = order_.begin(); it != order_.end(); ++it) {
-    if (slots_[*it].branch_seq == seq) {
-      free_.push_back(*it);
-      order_.erase(it);
-      found = true;
-      break;
-    }
-  }
-  EREL_CHECK(found, "confirm of unknown branch ", seq);
+  history_.close(seq);
   for (unsigned c = 0; c < kNumClasses; ++c)
     policy_[c]->on_branch_confirmed(seq, cycle);
 }
 
 void RenameUnit::on_branch_mispredicted(InstSeq seq) {
-  // Find the checkpoint; restore it; drop it and everything younger.
-  std::size_t idx = order_.size();
-  for (std::size_t i = 0; i < order_.size(); ++i) {
-    if (slots_[order_[i]].branch_seq == seq) {
-      idx = i;
-      break;
-    }
-  }
-  EREL_CHECK(idx != order_.size(), "mispredict of unknown branch ", seq);
-  Checkpoint& cp = slots_[order_[idx]];
-  for (unsigned c = 0; c < kNumClasses; ++c) {
-    state_[c]->map.restore(cp.map[c]);
-    policy_[c]->restore_checkpoint(cp.aux[c]);
+  history_.rollback(seq);
+  for (unsigned c = 0; c < kNumClasses; ++c)
     policy_[c]->on_branch_mispredicted(seq);
-  }
-  for (std::size_t i = idx; i < order_.size(); ++i) free_.push_back(order_[i]);
-  order_.resize(idx);
 }
 
 void RenameUnit::on_commit(const RenameRec& rec, InstSeq seq,
@@ -160,22 +123,11 @@ void RenameUnit::on_commit(const RenameRec& rec, InstSeq seq,
     rfs.iomt.set(rec.rd, rec.pd);
   }
 
-  // 3. Policy actions: C-bit updates, rel-bit releases, old_pd release,
-  //    RelQue migration.
-  for (unsigned c = 0; c < kNumClasses; ++c)
-    policy_[c]->on_commit(rec, seq, cycle);
-
-  // 4. The C-bit update must reach every live checkpoint copy (§3.2).
-  // Checkpoints without policy aux state (has_lus clear) have nothing to
-  // update; skipping them spares conventional-policy runs two virtual
-  // no-op calls per live checkpoint per commit.
-  for (const std::uint32_t id : order_) {
-    Checkpoint& cp = slots_[id];
-    for (unsigned c = 0; c < kNumClasses; ++c) {
-      if (cp.aux[c].has_lus)
-        policy_[c]->commit_update_checkpoint(cp.aux[c], seq);
-    }
-  }
+  // 3. C-bit update: the commit frontier moves to this instruction, which
+  //    reaches every LUs entry naming it, checkpointed or not (§3.2).
+  // 4. Policy actions: rel-bit releases, old_pd release, RelQue migration.
+  for (const auto& rfs : state_) rfs->lus.on_commit(seq);
+  for (const auto& policy : policy_) policy->on_commit(rec, seq, cycle);
 }
 
 void RenameUnit::on_squash_entry(const RenameRec& rec, std::uint64_t cycle) {
@@ -200,13 +152,13 @@ void RenameUnit::on_squash_entry(const RenameRec& rec, std::uint64_t cycle) {
 
 void RenameUnit::on_exception_flush(std::uint64_t cycle) {
   (void)cycle;
+  history_.clear();
   for (unsigned c = 0; c < kNumClasses; ++c) {
     // The IOMT (with its stale bits) is the precise architectural mapping.
     state_[c]->map.restore(state_[c]->iomt.snapshot());
+    state_[c]->lus.reset_architectural();
     policy_[c]->on_exception_flush();
   }
-  for (const std::uint32_t id : order_) free_.push_back(id);
-  order_.clear();
 }
 
 }  // namespace erel::core

@@ -1,6 +1,13 @@
-// Register rename unit: Map Tables, Free Lists, IOMT, branch checkpoint
-// stack and the release policy instances for both register classes
+// Register rename unit: Map Tables, LUs Tables, Free Lists, IOMT, branch
+// checkpoints and the release policy instances for both register classes
 // (Figure 1 of the paper plus the §3/§4 extensions).
+//
+// Branch checkpoints are positions in one rename history (an undo log of
+// Map and LUs Table writes, see rename_history.hpp) rather than table
+// copies, and LUs C bits derive from the commit frontier (see
+// lus_table.hpp), so commit work is O(1) whatever the number of open
+// checkpoints. The modelled checkpoint stack is unchanged: at most
+// `max_pending_branches` checkpoints are open at once.
 //
 // The pipeline drives it through five entry points:
 //   try_rename()            - decode/rename stage, per instruction
@@ -14,10 +21,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
-#include "core/release_policy.hpp"
 #include "core/reg_state.hpp"
+#include "core/release_policy.hpp"
+#include "core/rename_history.hpp"
 #include "core/types.hpp"
 #include "isa/isa.hpp"
 
@@ -40,6 +47,9 @@ struct RenameConfig {
 class RenameUnit {
  public:
   RenameUnit(const RenameConfig& config, PipelineHooks& hooks);
+  // The tables keep a pointer to history_: the unit stays where it was built.
+  RenameUnit(const RenameUnit&) = delete;
+  RenameUnit& operator=(const RenameUnit&) = delete;
 
   RegFileState& rf(RC cls) { return *state_[static_cast<unsigned>(cls)]; }
   const RegFileState& rf(RC cls) const {
@@ -54,7 +64,7 @@ class RenameUnit {
 
   /// True if a conditional/indirect branch can take a checkpoint now.
   [[nodiscard]] bool can_checkpoint() const {
-    return order_.size() < config_.max_pending_branches;
+    return history_.open_checkpoints() < config_.max_pending_branches;
   }
 
   /// Renames one instruction into `rec` (which must already be registered so
@@ -64,30 +74,32 @@ class RenameUnit {
   bool try_rename(const isa::DecodedInst& inst, InstSeq seq, RenameRec& rec,
                   std::uint64_t cycle);
 
-  /// Takes Map Table + LUs Table checkpoints for branch `seq` (paper §3.1:
+  /// Opens the Map Table + LUs Table checkpoint of branch `seq` (paper §3.1:
   /// "an LUs Table copy is made at each branch prediction").
   void note_branch_decoded(InstSeq seq);
 
   void on_branch_confirmed(InstSeq seq, std::uint64_t cycle);
 
-  /// Restores the checkpoint of `seq` and drops it plus all younger ones.
+  /// Restores the checkpoint of `seq` (undoing the rename history back to
+  /// it) and drops it plus all younger ones.
   /// The pipeline must free the squashed instructions' destinations via
   /// on_squash_entry() separately.
   void on_branch_mispredicted(InstSeq seq);
 
   /// Commit processing for one instruction, in program order: consumer/
-  /// definer tracking, IOMT update, then the policy's release actions.
+  /// definer tracking, IOMT update, LUs commit frontier, then the policy's
+  /// release actions.
   void on_commit(const RenameRec& rec, InstSeq seq, std::uint64_t cycle);
 
   /// Returns the destination register of a squashed in-flight instruction.
   void on_squash_entry(const RenameRec& rec, std::uint64_t cycle);
 
   /// Exception recovery: pipeline already squashed everything; restore the
-  /// speculative map from the IOMT and reset policy state.
+  /// speculative map from the IOMT, reset the LUs Tables and policy state.
   void on_exception_flush(std::uint64_t cycle);
 
   [[nodiscard]] unsigned pending_checkpoints() const {
-    return static_cast<unsigned>(order_.size());
+    return history_.open_checkpoints();
   }
 
   /// Free-list-empty rename stalls observed (per class).
@@ -96,24 +108,11 @@ class RenameUnit {
   }
 
  private:
-  struct Checkpoint {
-    InstSeq branch_seq = kNoSeq;
-    std::array<MapTable::Snapshot, kNumClasses> map;
-    std::array<PolicyCheckpoint, kNumClasses> aux;
-  };
-
   RenameConfig config_;
+  // Declared before state_: the tables log into it until they are destroyed.
+  RenameHistory history_;
   std::array<std::unique_ptr<RegFileState>, kNumClasses> state_;
   std::array<std::unique_ptr<ReleasePolicy>, kNumClasses> policy_;
-  // Branch checkpoints live in a slot pool preallocated to the stack depth:
-  // a Checkpoint is ~1 KB of snapshot arrays, so container push/erase would
-  // pay a heap allocation per decoded branch and a multi-KB element shift
-  // per out-of-order confirm. Slots never move or reallocate; `order_`
-  // (alive slot ids, oldest first) carries all per-branch bookkeeping and
-  // `free_` recycles slots of confirmed/squashed branches.
-  std::vector<Checkpoint> slots_;
-  std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> free_;
   std::array<std::uint64_t, kNumClasses> rename_stalls_{};
 };
 

@@ -66,6 +66,11 @@ struct RenameRec {
   // Basic mechanism, LU-already-committed case: NV reuses old_pd as its
   // destination without allocating from the free list.
   bool reused_prev = false;
+  // Extended mechanism: a Release Queue level holds RwC bits keyed by this
+  // instruction (set when an NV files them, never cleared). Commits of
+  // unmarked instructions skip the Release Queue; a mark whose level was
+  // dropped by a misprediction only costs that skipped lookup.
+  bool rwc_filed = false;
 
   [[nodiscard]] bool has_dst() const { return cd != isa::RegClass::None; }
   [[nodiscard]] PhysReg phys_for(UseKind kind) const {

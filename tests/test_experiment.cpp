@@ -34,6 +34,14 @@ sim::SimConfig tiny_config() {
   return config;
 }
 
+/// Local-only run options with the result cache in `dir`.
+harness::RunOptions cache_opts(const std::string& dir, unsigned threads = 0) {
+  harness::RunOptions options;
+  options.threads = threads;
+  options.cache_dir = dir;
+  return options;
+}
+
 /// Self-cleaning unique temp directory per test.
 struct TempDir {
   fs::path path;
@@ -369,7 +377,8 @@ TEST(Fingerprint, CallbacksAreNotFingerprintable) {
   sim::SimConfig config2 = tiny_config();
   config2.policy_factory = [](core::RC, core::RegFileState& rf,
                               core::PipelineHooks& hooks) {
-    return core::make_policy(PolicyKind::Conventional, rf, hooks);
+    return core::make_policy(PolicyKind::Conventional, rf, hooks,
+                             tiny_config().max_pending_branches);
   };
   EXPECT_FALSE(harness::fingerprintable("li", config2));
   // Unknown workload names are likewise uncacheable instead of fatal.
@@ -531,14 +540,14 @@ TEST(ResultCache, MissThenHitThenResume) {
 
   // Cold: everything simulates.
   const harness::ResultSet first =
-      build({48, 96}).run({.threads = 2, .cache_dir = dir.str()});
+      build({48, 96}).run(cache_opts(dir.str(), 2));
   EXPECT_EQ(first.size(), 2u);
   EXPECT_EQ(first.cache_hits(), 0u);
   EXPECT_EQ(first.simulated(), 2u);
 
   // Warm rerun: zero re-simulations, identical stats.
   const harness::ResultSet second =
-      build({48, 96}).run({.threads = 2, .cache_dir = dir.str()});
+      build({48, 96}).run(cache_opts(dir.str(), 2));
   EXPECT_EQ(second.cache_hits(), 2u);
   EXPECT_EQ(second.simulated(), 0u);
   for (const unsigned p : {48u, 96u}) {
@@ -549,7 +558,7 @@ TEST(ResultCache, MissThenHitThenResume) {
 
   // Grown grid (interrupted-sweep resume): only the new cell simulates.
   const harness::ResultSet third =
-      build({48, 96, 64}).run({.threads = 2, .cache_dir = dir.str()});
+      build({48, 96, 64}).run(cache_opts(dir.str(), 2));
   EXPECT_EQ(third.size(), 3u);
   EXPECT_EQ(third.cache_hits(), 2u);
   EXPECT_EQ(third.simulated(), 1u);
@@ -559,7 +568,7 @@ TEST(ResultCache, CorruptEntryIsAMissNotAWrongResult) {
   TempDir dir;
   harness::Experiment exp;
   exp.base(tiny_config()).workloads({"li"}).phys_regs({48});
-  const harness::ResultSet first = exp.run({.cache_dir = dir.str()});
+  const harness::ResultSet first = exp.run(cache_opts(dir.str()));
   EXPECT_EQ(first.simulated(), 1u);
 
   // Truncate every cache entry mid-file.
@@ -571,7 +580,7 @@ TEST(ResultCache, CorruptEntryIsAMissNotAWrongResult) {
     std::ofstream out(f.path(), std::ios::binary | std::ios::trunc);
     out << buf.str().substr(0, buf.str().size() / 3);
   }
-  const harness::ResultSet again = exp.run({.cache_dir = dir.str()});
+  const harness::ResultSet again = exp.run(cache_opts(dir.str()));
   EXPECT_EQ(again.cache_hits(), 0u);
   EXPECT_EQ(again.simulated(), 1u);
 }
@@ -588,11 +597,11 @@ TEST(ResultCache, SampledRunsCacheWithCI) {
   harness::Experiment exp;
   exp.base(config).workloads({"li"}).phys_regs({64}).sampling(sampling);
 
-  const harness::ResultSet first = exp.run({.cache_dir = dir.str()});
+  const harness::ResultSet first = exp.run(cache_opts(dir.str()));
   ASSERT_TRUE(first.entries()[0].sampled.has_value());
   EXPECT_EQ(first.simulated(), 1u);
 
-  const harness::ResultSet second = exp.run({.cache_dir = dir.str()});
+  const harness::ResultSet second = exp.run(cache_opts(dir.str()));
   EXPECT_EQ(second.cache_hits(), 1u);
   ASSERT_TRUE(second.entries()[0].sampled.has_value());
   EXPECT_EQ(second.entries()[0].sampled->samples,
@@ -710,7 +719,7 @@ TEST(ResultSet, ProbeMetricsFlowThroughSinksAndCache) {
     return exp;
   };
   const harness::ResultSet rs =
-      build().run({.threads = 1, .cache_dir = dir.str()});
+      build().run(cache_opts(dir.str(), 1));
   ASSERT_EQ(rs.size(), 1u);
   const harness::ExpEntry& e = rs.entries()[0];
   ASSERT_TRUE(e.metric("power/energy_nj").has_value());
@@ -746,7 +755,7 @@ TEST(ResultSet, ProbeMetricsFlowThroughSinksAndCache) {
 
   // Warm rerun: the cache hit restores the metrics bit-exactly.
   const harness::ResultSet warm =
-      build().run({.threads = 1, .cache_dir = dir.str()});
+      build().run(cache_opts(dir.str(), 1));
   EXPECT_EQ(warm.cache_hits(), 1u);
   EXPECT_EQ(warm.entries()[0].metrics, e.metrics);
 
@@ -758,7 +767,7 @@ TEST(ResultSet, ProbeMetricsFlowThroughSinksAndCache) {
       .policies({PolicyKind::Extended})
       .phys_regs({48});
   const harness::ResultSet rs2 =
-      bare.run({.threads = 1, .cache_dir = dir.str()});
+      bare.run(cache_opts(dir.str(), 1));
   EXPECT_EQ(rs2.cache_hits(), 0u);
   EXPECT_TRUE(rs2.entries()[0].metrics.empty());
 }

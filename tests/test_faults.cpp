@@ -134,7 +134,9 @@ std::string entry_text(const harness::ExpEntry& entry) {
 
 TEST(Faults, SweepThroughFaultProxyStaysBitIdentical) {
   const harness::Experiment exp = small_sweep();
-  const harness::ResultSet local = exp.run({.threads = 2});
+  harness::RunOptions local_options;
+  local_options.threads = 2;
+  const harness::ResultSet local = exp.run(local_options);
 
   DaemonFixture fixture;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {

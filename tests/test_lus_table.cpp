@@ -1,8 +1,10 @@
-// LUs Table semantics (paper §3.1/§3.2): last-use recording, C-bit commit
-// updates (including on checkpoint copies), architectural reset.
+// LUs Table semantics (paper §3.1/§3.2): last-use recording, C bits from
+// the commit frontier (including in entries a checkpoint restore brings
+// back), rollback through the rename history, architectural reset.
 #include <gtest/gtest.h>
 
 #include "core/lus_table.hpp"
+#include "core/rename_history.hpp"
 
 namespace erel::core {
 namespace {
@@ -38,27 +40,78 @@ TEST(LUsTable, CommitSetsCOnMatchingEntriesOnly) {
   EXPECT_FALSE(t.lookup(3).committed);
 }
 
-TEST(LUsTable, CommitUpdateReachesCheckpointCopies) {
+TEST(LUsTable, CommitsAfterCheckpointReachRestoredEntries) {
+  RenameHistory history(4);
   LUsTable t;
+  t.attach(history);
   t.record_use(5, 200, UseKind::Src1);
-  LUsTable::Snapshot checkpoint = t.snapshot();
-  t.record_use(5, 201, UseKind::Src1);  // younger use in the working copy
-  // Instruction 200 commits: both copies must see C=1 where they still
-  // reference 200 (paper: "extended to all LUs Table copies").
+  t.record_use(6, 201, UseKind::Dst);
+  history.open(/*branch=*/202);          // checkpoint: r5 -> 200, r6 -> 201
+  t.record_use(5, 203, UseKind::Src1);  // younger uses in the working copy
+  t.record_use(6, 204, UseKind::Src2);
+  // Instruction 200 commits after the checkpoint was taken (paper: the C
+  // update is "extended to all LUs Table copies").
   t.on_commit(200);
-  LUsTable::update_commit_in(checkpoint, 200);
-  EXPECT_TRUE(checkpoint[5].committed);
-  EXPECT_FALSE(t.lookup(5).committed);  // working copy points to 201
+  EXPECT_FALSE(t.lookup(5).committed);  // working copy points to 203
+  history.rollback(202);
+  // Every restored entry naming a committed instruction reads C=1, the
+  // rest C=0; untouched registers stay in the committed Arch state.
+  EXPECT_EQ(t.lookup(5).seq, 200u);
+  EXPECT_TRUE(t.lookup(5).committed);
+  EXPECT_EQ(t.lookup(6).seq, 201u);
+  EXPECT_FALSE(t.lookup(6).committed);
+  EXPECT_EQ(t.lookup(7).kind, UseKind::Arch);
+  EXPECT_TRUE(t.lookup(7).committed);
+  t.on_commit(201);
+  EXPECT_TRUE(t.lookup(6).committed);
+}
+
+TEST(LUsTable, SquashedSeqReusedByNewInstructionReadsUncommitted) {
+  RenameHistory history(4);
+  LUsTable t;
+  t.attach(history);
+  t.record_use(3, 9, UseKind::Dst);
+  history.open(/*branch=*/10);
+  t.record_use(3, 11, UseKind::Src1);  // wrong path
+  t.record_use(4, 12, UseKind::Dst);   // wrong path
+  history.rollback(10);                // 11 and 12 squashed
+  t.on_commit(9);
+  t.on_commit(10);
+  EXPECT_TRUE(t.lookup(3).committed);
+  // Sequence numbers 11 and 12 are handed out again after the squash.
+  t.record_use(4, 11, UseKind::Src2);
+  EXPECT_EQ(t.lookup(4).seq, 11u);
+  EXPECT_FALSE(t.lookup(4).committed);
+  t.on_commit(11);
+  EXPECT_TRUE(t.lookup(4).committed);
 }
 
 TEST(LUsTable, RestoreBringsBackOlderLastUses) {
+  RenameHistory history(4);
   LUsTable t;
+  t.attach(history);
   t.record_use(7, 300, UseKind::Dst);
-  const LUsTable::Snapshot snap = t.snapshot();
-  t.record_use(7, 350, UseKind::Src2);  // wrong-path use
-  t.restore(snap);
+  history.open(/*branch=*/301);
+  t.record_use(7, 350, UseKind::Src2);  // wrong-path uses
+  t.record_use(7, 351, UseKind::Src1);
+  history.rollback(301);
   EXPECT_EQ(t.lookup(7).seq, 300u);
   EXPECT_EQ(t.lookup(7).kind, UseKind::Dst);
+  EXPECT_EQ(history.size(), 0u);
+}
+
+TEST(LUsTable, WritesWithNoOpenCheckpointAreNotLogged) {
+  RenameHistory history(4);
+  LUsTable t;
+  t.attach(history);
+  t.record_use(7, 300, UseKind::Dst);
+  EXPECT_EQ(history.size(), 0u);
+  history.open(/*branch=*/301);
+  t.record_use(7, 302, UseKind::Src1);
+  EXPECT_EQ(history.size(), 1u);
+  history.close(301);  // confirmed: nothing left to roll back to
+  EXPECT_EQ(history.size(), 0u);
+  EXPECT_EQ(t.lookup(7).seq, 302u);
 }
 
 TEST(LUsTable, ResetArchitecturalClearsEverything) {

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "core/release_policy.hpp"
+#include "core/rename_history.hpp"
 #include "core/types.hpp"
 
 namespace erel::core {
@@ -36,12 +37,17 @@ class FakeHooks : public PipelineHooks {
 };
 
 /// Test fixture mimicking the RenameUnit's call sequence for a single-class
-/// instruction stream.
+/// instruction stream. Checkpoints go through a rename history attached to
+/// the Map and LUs Tables, as in the RenameUnit.
 class PolicyTest : public testing::Test {
  protected:
+  static constexpr unsigned kDepth = 20;
+
   void init(PolicyKind kind, unsigned phys = 40) {
     rf = std::make_unique<RegFileState>(RC::Int, phys);
-    policy = make_policy(kind, *rf, hooks);
+    rf->map.attach(history);
+    rf->lus.attach(history);
+    policy = make_policy(kind, *rf, hooks, kDepth);
   }
 
   /// Renames "rd = op(rs1)" at `seq`; returns the record.
@@ -81,10 +87,21 @@ class PolicyTest : public testing::Test {
       rf->tracker.on_definer_commit(rec.pd, cycle);
       rf->iomt.set(rec.rd, rec.pd);
     }
+    rf->lus.on_commit(seq);
     policy->on_commit(rec, seq, cycle);
     hooks.inflight.erase(seq);
   }
 
+  /// Exception flush as the RenameUnit performs it (in-flight work gone).
+  void exception_flush() {
+    history.clear();
+    rf->map.restore(rf->iomt.snapshot());
+    rf->lus.reset_architectural();
+    policy->on_exception_flush();
+    hooks.inflight.clear();
+  }
+
+  RenameHistory history{kDepth};
   FakeHooks hooks;
   std::unique_ptr<RegFileState> rf;
   std::unique_ptr<ReleasePolicy> policy;
@@ -198,9 +215,9 @@ TEST_F(PolicyTest, BasicCheckpointRestoreRevertsLastUses) {
   init(PolicyKind::Basic);
   rename(1, 5);
   rename(2, 6, /*rs1=*/5);                 // LU of r5's v1
-  const PolicyCheckpoint cp = policy->make_checkpoint();
+  history.open(/*branch=*/2);
   rename(3, 7, /*rs1=*/5);                 // wrong-path younger use
-  policy->restore_checkpoint(cp);
+  history.rollback(2);
   hooks.inflight.erase(3);
   // After restore the LU of r5 is instruction 2 again.
   RenameRec& nv = rename(4, 5);
@@ -208,25 +225,56 @@ TEST_F(PolicyTest, BasicCheckpointRestoreRevertsLastUses) {
   EXPECT_EQ(hooks.inflight.at(2).rel_bits, kRel1);
 }
 
-TEST_F(PolicyTest, BasicCommitUpdatesCheckpointCopies) {
+TEST_F(PolicyTest, BasicRestoredCheckpointSeesLaterCommits) {
   init(PolicyKind::Basic);
   rename(1, 5);
   rename(2, 6, /*rs1=*/5);  // instruction 2 uses r5 (src) and r6 (dst)
-  rename(3, 7);
-  PolicyCheckpoint cp = policy->make_checkpoint();
-  policy->commit_update_checkpoint(cp, 2);
-  // Every entry naming instruction 2 flips to committed; others don't.
-  EXPECT_TRUE(cp.lus[5].committed);
-  EXPECT_TRUE(cp.lus[6].committed);
-  EXPECT_FALSE(cp.lus[7].committed);
+  rename(3, 7);             // the branch; uses r7 (dst)
+  history.open(/*branch=*/3);
+  hooks.pending.push_back(3);
+  // Wrong path overwrites all three last uses.
+  for (InstSeq seq = 4; seq <= 6; ++seq) {
+    RenameRec& wrong = rename(seq, 4 + static_cast<unsigned>(seq - 3));
+    EXPECT_FALSE(wrong.reused_prev);
+  }
+  commit(1, 10);
+  commit(2, 11);            // commits after the checkpoint was taken
+  // Mispredict of branch 3, as the pipeline performs it.
+  for (InstSeq seq = 6; seq >= 4; --seq) {
+    rf->release(hooks.inflight.at(seq).pd, 12, /*squashed=*/true);
+    hooks.inflight.erase(seq);
+  }
+  hooks.inflight.at(3).rel_bits = 0;  // set by the squashed NV of r7
+  hooks.pending.clear();
+  history.rollback(3);
+  // The restored entries naming committed instruction 2 read C=1; the
+  // entry naming in-flight instruction 3 reads C=0.
+  EXPECT_EQ(rf->lus.lookup(5).seq, 2u);
+  EXPECT_TRUE(rf->lus.lookup(5).committed);
+  EXPECT_EQ(rf->lus.lookup(6).seq, 2u);
+  EXPECT_TRUE(rf->lus.lookup(6).committed);
+  EXPECT_EQ(rf->lus.lookup(7).seq, 3u);
+  EXPECT_FALSE(rf->lus.lookup(7).committed);
+  // Behaviour follows the C bits: r6's LU committed, so its redefinition
+  // reuses in place; r7's LU is in flight, so the release is scheduled on
+  // it. Sequence numbers 4 and 5 are reused after the squash and read as
+  // uncommitted last uses in turn.
+  RenameRec& nv6 = rename(4, 6);
+  EXPECT_TRUE(nv6.reused_prev);
+  EXPECT_FALSE(rf->lus.lookup(6).committed);
+  RenameRec& nv7 = rename(5, 7);
+  EXPECT_FALSE(nv7.reused_prev);
+  EXPECT_EQ(hooks.inflight.at(3).rel_bits, kRelD);
+  RenameRec& again6 = rename(6, 6);
+  EXPECT_FALSE(again6.reused_prev);
+  EXPECT_EQ(nv6.rel_bits, kRelD);
 }
 
 TEST_F(PolicyTest, BasicExceptionFlushResetsToArch) {
   init(PolicyKind::Basic);
   rename(1, 5);
   rename(2, 6, /*rs1=*/5);
-  policy->on_exception_flush();
-  hooks.inflight.clear();
+  exception_flush();
   // All entries back to Arch/committed: the next NV reuses immediately.
   RenameRec& nv = rename(3, 6);
   EXPECT_TRUE(nv.reused_prev);
@@ -305,17 +353,15 @@ TEST_F(PolicyTest, ExtendedMispredictDropsConditionalReleases) {
   rename(2, 6, /*rs1=*/5);
   commit(1, 10);
   commit(2, 11);
-  const PolicyCheckpoint cp = policy->make_checkpoint();
-  const MapTable::Snapshot map_cp = rf->map.snapshot();
   hooks.pending.push_back(3);
+  history.open(3);
   policy->on_branch_decoded(3);
   const PhysReg v1 = rf->map.get(5).phys;
   RenameRec& nv = rename(4, 5);
   // Mispredict: squash the NV, drop the scheduling, restore state.
   rf->release(nv.pd, 12, /*squashed=*/true);
   hooks.inflight.erase(4);
-  rf->map.restore(map_cp);
-  policy->restore_checkpoint(cp);
+  history.rollback(3);
   policy->on_branch_mispredicted(3);
   hooks.pending.clear();
   EXPECT_EQ(policy->relque_population(), 0u);

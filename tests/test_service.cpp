@@ -23,6 +23,14 @@ namespace {
 namespace fs = std::filesystem;
 using core::PolicyKind;
 
+/// Two-worker run options, shipping cells to `server` when it is set.
+harness::RunOptions run_opts(std::string server = "") {
+  harness::RunOptions options;
+  options.threads = 2;
+  options.server = std::move(server);
+  return options;
+}
+
 sim::SimConfig tiny_config() {
   sim::SimConfig config;
   config.check_oracle = false;
@@ -91,9 +99,9 @@ TEST(Service, DaemonServedSweepIsBitIdenticalToLocal) {
   DaemonFixture fixture;
   const harness::Experiment exp = small_sweep();
 
-  const harness::ResultSet local = exp.run({.threads = 2});
+  const harness::ResultSet local = exp.run(run_opts());
   const harness::ResultSet remote =
-      exp.run({.threads = 2, .server = fixture.endpoint()});
+      exp.run(run_opts(fixture.endpoint()));
 
   ASSERT_EQ(remote.size(), local.size());
   for (const harness::ExpEntry& want : local.entries()) {
@@ -111,10 +119,10 @@ TEST(Service, SecondSweepIsServedFromTheWarmDaemonCache) {
   const harness::Experiment exp = small_sweep();
 
   const harness::ResultSet cold =
-      exp.run({.threads = 2, .server = fixture.endpoint()});
+      exp.run(run_opts(fixture.endpoint()));
   EXPECT_EQ(cold.cache_hits(), 0u);
   const harness::ResultSet warm =
-      exp.run({.threads = 2, .server = fixture.endpoint()});
+      exp.run(run_opts(fixture.endpoint()));
 
   EXPECT_EQ(warm.size(), cold.size());
   EXPECT_EQ(warm.cache_hits(), warm.size());  // "N hits, 0 simulated"
@@ -137,10 +145,10 @@ TEST(Service, ConcurrentClientsOnOverlappingCellsSimulateEachCellOnce) {
   // first client just filled — both are one simulation).
   harness::ResultSet a, b;
   std::thread ta([&] {
-    a = exp.run({.threads = 2, .server = fixture.endpoint()});
+    a = exp.run(run_opts(fixture.endpoint()));
   });
   std::thread tb([&] {
-    b = exp.run({.threads = 2, .server = fixture.endpoint()});
+    b = exp.run(run_opts(fixture.endpoint()));
   });
   ta.join();
   tb.join();
@@ -253,10 +261,10 @@ TEST(Service, UnreachableServerFallsBackToLocalSimulation) {
   const harness::Experiment exp = small_sweep();
   // Nothing listens on port 1; the sweep must still complete locally.
   const harness::ResultSet rs =
-      exp.run({.threads = 2, .server = "127.0.0.1:1"});
+      exp.run(run_opts("127.0.0.1:1"));
   ASSERT_EQ(rs.size(), 4u);
   EXPECT_EQ(rs.cache_hits(), 0u);
-  const harness::ResultSet local = exp.run({.threads = 2});
+  const harness::ResultSet local = exp.run(run_opts());
   for (const harness::ExpEntry& want : local.entries())
     EXPECT_EQ(entry_text(rs.at(want.key)), entry_text(want));
 }
