@@ -1,33 +1,25 @@
 #include "harness/results.hpp"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <map>
-#include <sstream>
 
 #include "common/log.hpp"
+#include "common/text_codec.hpp"
 
 namespace erel::harness {
 
 namespace {
 
-std::string render_u64(std::uint64_t v) { return std::to_string(v); }
-
-std::string render_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
+using codec::render_double;
 
 // ---------------------------------------------------------------------------
-// Exhaustive field visitors. `Stats` is (const) SimStats / SampledStats, so
-// the same enumeration serves serialization (const ref) and parsing
-// (mutable ref); a field added to the structs without a line here fails the
-// round-trip test rather than silently dropping data.
+// Exhaustive field lists. `Stats` is (const) SimStats / SampledStats, so
+// the same enumeration serves serialization (codec::FieldWriter, const ref)
+// and parsing (codec::FieldReader, mutable ref); a field added to the
+// structs without a line here fails the round-trip test rather than
+// silently dropping data.
 // ---------------------------------------------------------------------------
 
 template <class Stats, class Fn>
@@ -88,69 +80,6 @@ void sampled_moment_fields(Stats& s, Fn&& f) {
   f("sampled.units_planned", s.units_planned);
   f("sampled.degenerate_windows", s.degenerate_windows);
 }
-
-/// Serializing visitor: appends "name value" lines.
-struct FieldWriter {
-  std::string& out;
-  void operator()(const std::string& name, const std::uint64_t& v) const {
-    out += name + ' ' + render_u64(v) + '\n';
-  }
-  void operator()(const std::string& name, const bool& v) const {
-    out += name + (v ? " 1\n" : " 0\n");
-  }
-  void operator()(const std::string& name, const double& v) const {
-    out += name + ' ' + render_double(v) + '\n';
-  }
-};
-
-/// Parsing visitor: assigns from a name->text map; records failures.
-struct FieldReader {
-  const std::map<std::string, std::string, std::less<>>& fields;
-  bool ok = true;
-
-  const std::string* get(const std::string& name) {
-    const auto it = fields.find(name);
-    if (it == fields.end()) {
-      ok = false;
-      return nullptr;
-    }
-    return &it->second;
-  }
-  // Values must parse completely: a bit-flipped "1x1857" or a truncated
-  // token is a rejected entry (cache miss), never a silently-wrong number.
-  void operator()(const std::string& name, std::uint64_t& v) {
-    if (const std::string* s = get(name)) {
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long parsed = std::strtoull(s->c_str(), &end, 10);
-      if (s->empty() || end != s->c_str() + s->size() || errno == ERANGE) {
-        ok = false;
-        return;
-      }
-      v = parsed;
-    }
-  }
-  void operator()(const std::string& name, bool& v) {
-    if (const std::string* s = get(name)) {
-      if (*s != "0" && *s != "1") {
-        ok = false;
-        return;
-      }
-      v = (*s == "1");
-    }
-  }
-  void operator()(const std::string& name, double& v) {
-    if (const std::string* s = get(name)) {
-      char* end = nullptr;
-      const double parsed = std::strtod(s->c_str(), &end);
-      if (s->empty() || end != s->c_str() + s->size()) {
-        ok = false;
-        return;
-      }
-      v = parsed;
-    }
-  }
-};
 
 void csv_field(std::string& out, const std::string& value) {
   if (value.find_first_of(",\"\n") == std::string::npos) {
@@ -369,9 +298,9 @@ void ResultSet::write_csv(const std::string& path) const {
     out += ',';
     out += e.from_cache ? '1' : '0';
     out += ',';
-    out += render_u64(e.stats.committed);
+    out += std::to_string(e.stats.committed);
     out += ',';
-    out += render_u64(e.stats.cycles);
+    out += std::to_string(e.stats.cycles);
     out += ',';
     out += render_double(e.stats.ipc());
     out += ',';
@@ -381,7 +310,7 @@ void ResultSet::write_csv(const std::string& path) const {
     out += ',';
     out += render_double(e.stats.l1d.miss_rate());
     out += ',';
-    out += render_u64(e.stats.stalls.free_list_empty);
+    out += std::to_string(e.stats.stalls.free_list_empty);
     for (const std::string& name : metric_cols) {
       out += ',';
       if (const std::optional<double> v = e.metric(name))
@@ -422,7 +351,7 @@ void ResultSet::write_json(const std::string& path) const {
       } else if constexpr (std::is_same_v<T, double>) {
         out += json_number(v);
       } else {
-        out += render_u64(v);
+        out += std::to_string(v);
       }
     };
     sim_stats_fields(e.stats, emit, "");
@@ -451,9 +380,9 @@ void ResultSet::write_json(const std::string& path) const {
       out += ",\n        \"samples\": [";
       for (std::size_t i = 0; i < s.samples.size(); ++i) {
         if (i) out += ", ";
-        out += '[' + render_u64(s.samples[i].start_instruction) + ", " +
-               render_u64(s.samples[i].instructions) + ", " +
-               render_u64(s.samples[i].cycles) + ']';
+        out += '[' + std::to_string(s.samples[i].start_instruction) + ", " +
+               std::to_string(s.samples[i].instructions) + ", " +
+               std::to_string(s.samples[i].cycles) + ']';
       }
       out += "]\n      }";
     }
@@ -469,107 +398,115 @@ void ResultSet::write_json(const std::string& path) const {
 
 std::string serialize_entry(const ExpEntry& entry, std::string_view fp_hex) {
   std::string out = "erel-result v1\n";
-  out += "fingerprint ";
-  out += fp_hex;
-  out += '\n';
-  out += "key.workload " + entry.key.workload + '\n';
-  out += "key.policy " + std::string(policy_name(entry.key.policy)) + '\n';
-  out += "key.phys " + std::to_string(entry.key.phys) + '\n';
-  out += "key.variant " + entry.key.variant + '\n';
-  out += entry.sampled ? "kind sampled\n" : "kind full\n";
-  FieldWriter writer{out};
-  sim_stats_fields(entry.stats, writer, "stats.");
+  const codec::FieldWriter put(out, ' ');
+  put("fingerprint", fp_hex);
+  put("key.workload", entry.key.workload);
+  put("key.policy", policy_name(entry.key.policy));
+  put("key.phys", entry.key.phys);
+  put("key.variant", entry.key.variant);
+  put("kind", entry.sampled ? "sampled" : "full");
+  sim_stats_fields(entry.stats, put, "stats.");
   if (entry.sampled) {
     const sim::SampledStats& s = *entry.sampled;
-    sim_stats_fields(s.estimate, writer, "sampled.estimate.");
-    sim_stats_fields(s.measured, writer, "sampled.measured.");
-    sampled_moment_fields(s, writer);
-    out += "samples " + std::to_string(s.samples.size()) + '\n';
+    sim_stats_fields(s.estimate, put, "sampled.estimate.");
+    sim_stats_fields(s.measured, put, "sampled.measured.");
+    sampled_moment_fields(s, put);
+    put("samples", s.samples.size());
     for (const sim::SampleRecord& r : s.samples) {
-      out += "s " + render_u64(r.start_instruction) + ' ' +
-             render_u64(r.instructions) + ' ' + render_u64(r.cycles) + '\n';
+      out += "s " + std::to_string(r.start_instruction) + ' ' +
+             std::to_string(r.instructions) + ' ' + std::to_string(r.cycles) +
+             '\n';
     }
   }
   for (const sim::Metric& m : entry.metrics) {
     EREL_CHECK(!m.name.empty() &&
                    m.name.find_first_of(" \n") == std::string::npos,
                "metric name '", m.name, "' is not serializable");
-    out += "metric." + m.name + ' ' + render_double(m.value) + '\n';
+    put("metric." + m.name, m.value);
   }
   out += "end\n";
   return out;
 }
 
+namespace {
+
+/// "start instructions cycles" of one `s` line.
+std::optional<sim::SampleRecord> parse_sample(std::string_view value) {
+  const codec::Field start = codec::split_field(value, ' ');
+  const codec::Field rest = codec::split_field(start.value, ' ');
+  const auto a = codec::parse_u64(start.name);
+  const auto b = codec::parse_u64(rest.name);
+  const auto c = codec::parse_u64(rest.value);
+  if (!a || !b || !c) return std::nullopt;
+  return sim::SampleRecord{*a, *b, *c};
+}
+
+}  // namespace
+
+// Every malformed, missing, duplicated or unknown line rejects the entry:
+// a corrupt cache value is a miss, never a wrong number.
 std::optional<ExpEntry> parse_entry(std::string_view text,
                                     std::string_view expect_fp_hex,
                                     const ExpKey& expect_key) {
-  std::map<std::string, std::string, std::less<>> fields;
+  codec::LineScanner lines(text);
+  std::string_view line;
+  if (!lines.next(line) || line != "erel-result v1") return std::nullopt;
+  codec::FieldMap fields;
   std::vector<sim::SampleRecord> samples;
   std::vector<sim::Metric> metrics;
-  std::uint64_t declared_samples = 0;
-  bool have_header = false, have_end = false, sampled = false;
-  ExpKey key;
-  std::string fp_hex;
-
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    const std::size_t sp = line.find(' ');
-    const std::string_view name = line.substr(0, sp);
-    const std::string_view value =
-        sp == std::string_view::npos ? std::string_view{} : line.substr(sp + 1);
-
-    if (!have_header) {
-      if (name != "erel-result" || value != "v1") return std::nullopt;
-      have_header = true;
-    } else if (name == "fingerprint") {
-      fp_hex = value;
-    } else if (name == "key.workload") {
-      key.workload = value;
-    } else if (name == "key.policy") {
-      if (value != "conv" && value != "basic" && value != "extended")
-        return std::nullopt;
-      key.policy = core::parse_policy(value);
-    } else if (name == "key.phys") {
-      key.phys = static_cast<unsigned>(
-          std::strtoul(std::string(value).c_str(), nullptr, 10));
-    } else if (name == "key.variant") {
-      key.variant = value;
-    } else if (name == "kind") {
-      if (value != "full" && value != "sampled") return std::nullopt;
-      sampled = (value == "sampled");
-    } else if (name == "samples") {
-      declared_samples =
-          std::strtoull(std::string(value).c_str(), nullptr, 10);
-    } else if (name == "s") {
-      unsigned long long start = 0, instructions = 0, cycles = 0;
-      if (std::sscanf(std::string(value).c_str(), "%llu %llu %llu", &start,
-                      &instructions, &cycles) != 3)
-        return std::nullopt;
-      samples.push_back(sim::SampleRecord{start, instructions, cycles});
-    } else if (name == "end") {
+  bool have_end = false;
+  while (lines.next(line)) {
+    if (line == "end") {
       have_end = true;
-    } else if (name.starts_with("metric.")) {
-      // Open probe metrics: names are free-form, values strict doubles.
-      const std::string text(value);
-      char* end = nullptr;
-      const double parsed = std::strtod(text.c_str(), &end);
-      if (name.size() <= 7 || text.empty() ||
-          end != text.c_str() + text.size())
-        return std::nullopt;
-      metrics.push_back(sim::Metric{std::string(name.substr(7)), parsed});
-    } else if (name.starts_with("stats.") || name.starts_with("sampled.")) {
-      fields.emplace(std::string(name), std::string(value));
-    } else {
-      return std::nullopt;  // unknown line: newer format or corruption
+      break;
+    }
+    const codec::Field field = codec::split_field(line, ' ');
+    if (field.name == "s") {
+      const std::optional<sim::SampleRecord> sample = parse_sample(field.value);
+      if (!sample) return std::nullopt;
+      samples.push_back(*sample);
+    } else if (field.name.starts_with("metric.")) {
+      // Open probe metrics: names are free-form and repeatable, values
+      // strict doubles.
+      const std::optional<double> value = codec::parse_double(field.value);
+      if (field.name.size() <= 7 || !value) return std::nullopt;
+      metrics.push_back(sim::Metric{std::string(field.name.substr(7)), *value});
+    } else if (!codec::add_field(fields, line, ' ')) {
+      return std::nullopt;
     }
   }
+  if (!have_end || !lines.rest().empty()) return std::nullopt;
 
-  if (!have_header || !have_end) return std::nullopt;
+  ExpKey key;
+  std::string fp_hex, policy, kind;
+  ExpEntry entry;
+  codec::FieldReader read(fields);
+  read("fingerprint", fp_hex);
+  read("key.workload", key.workload);
+  read("key.policy", policy);
+  read("key.phys", key.phys);
+  read("key.variant", key.variant);
+  read("kind", kind);
+  sim_stats_fields(entry.stats, read, "stats.");
+  if (kind == "sampled") {
+    sim::SampledStats s;
+    std::uint64_t declared_samples = 0;
+    sim_stats_fields(s.estimate, read, "sampled.estimate.");
+    sim_stats_fields(s.measured, read, "sampled.measured.");
+    sampled_moment_fields(s, read);
+    read("samples", declared_samples);
+    if (samples.size() != declared_samples) return std::nullopt;
+    s.samples = std::move(samples);
+    entry.sampled = std::move(s);
+  } else if (kind != "full" || !samples.empty()) {
+    return std::nullopt;
+  }
+  const std::optional<core::PolicyKind> policy_kind =
+      core::try_parse_policy(policy);
+  if (!read.ok() || !policy_kind || policy_name(*policy_kind) != policy)
+    return std::nullopt;
+  key.policy = *policy_kind;
+
   if (fp_hex != expect_fp_hex) return std::nullopt;
   // Equal fingerprints imply identical results (the hash covers the
   // workload's content and every config field) but not identical variant
@@ -580,23 +517,10 @@ std::optional<ExpEntry> parse_entry(std::string_view text,
   if (key.workload != expect_key.workload ||
       key.policy != expect_key.policy || key.phys != expect_key.phys)
     return std::nullopt;
-  if (sampled && samples.size() != declared_samples) return std::nullopt;
 
-  ExpEntry entry;
   entry.key = expect_key;
   entry.from_cache = true;
   entry.metrics = std::move(metrics);
-  FieldReader reader{fields};
-  sim_stats_fields(entry.stats, reader, "stats.");
-  if (sampled) {
-    sim::SampledStats s;
-    sim_stats_fields(s.estimate, reader, "sampled.estimate.");
-    sim_stats_fields(s.measured, reader, "sampled.measured.");
-    sampled_moment_fields(s, reader);
-    s.samples = std::move(samples);
-    entry.sampled = std::move(s);
-  }
-  if (!reader.ok) return std::nullopt;
   return entry;
 }
 

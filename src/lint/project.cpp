@@ -44,7 +44,7 @@ RuleConfig erel_project_rules() {
       {"SimConfig", "src/sim/config.hpp", "src/sim/config.cpp",
        "canonical_fields", "config", "."},
       {"SamplingConfig", "src/sim/sampling.hpp", "src/sim/sampling.cpp",
-       "append_canonical_fields", "sampling", "."},
+       "sampling_canonical_fields", "sampling", "."},
       {"FetchConfig", "src/pipeline/fetch.hpp", "src/sim/config.cpp",
        "canonical_fields", "fetch", "."},
       {"FuConfig", "src/pipeline/fu_pool.hpp", "src/sim/config.cpp",
@@ -72,6 +72,7 @@ RuleConfig erel_project_rules() {
   // mixing (sim/sampling.cpp) is fine because it uses none of the banned
   // constructs.
   rules.deterministic_tus = {
+      "src/common/text_codec.cpp",    "src/common/text_codec.hpp",
       "src/dev/machine.cpp",          "src/dev/machine.hpp",
       "src/harness/fingerprint.cpp", "src/harness/fingerprint.hpp",
       "src/harness/result_cache.cpp", "src/harness/results.cpp",

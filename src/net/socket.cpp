@@ -11,9 +11,10 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
+
+#include "common/text_codec.hpp"
 
 namespace erel::net {
 
@@ -182,14 +183,10 @@ std::optional<std::pair<std::string, std::uint16_t>> parse_endpoint(
   if (colon == std::string_view::npos || colon == 0 ||
       colon + 1 >= spec.size())
     return std::nullopt;
-  const std::string port_text(spec.substr(colon + 1));
-  char* end = nullptr;
-  const unsigned long port = std::strtoul(port_text.c_str(), &end, 10);
-  if (end != port_text.c_str() + port_text.size() || port == 0 ||
-      port > 65535)
-    return std::nullopt;
-  return std::make_pair(std::string(spec.substr(0, colon)),
-                        static_cast<std::uint16_t>(port));
+  const std::optional<std::uint16_t> port =
+      codec::parse_unsigned<std::uint16_t>(spec.substr(colon + 1));
+  if (!port || *port == 0) return std::nullopt;
+  return std::make_pair(std::string(spec.substr(0, colon)), *port);
 }
 
 namespace {

@@ -1,96 +1,75 @@
 #include "service/protocol.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
-
+#include "common/text_codec.hpp"
 #include "core/release_policy.hpp"
 
 namespace erel::service {
 
 namespace {
 
-// ---- line-oriented payload scanning ------------------------------------
+// Field lists of the fixed-shape messages, walked by codec::FieldWriter
+// (encode) and a line-ordered codec::FieldReader (decode). Every payload
+// field is a `name value` line, in list order.
 
-/// Splits `text` into '\n'-terminated lines; a trailing unterminated line
-/// counts as a line too.
-class LineScanner {
- public:
-  explicit LineScanner(std::string_view text) : rest_(text) {}
-
-  bool next(std::string_view& line) {
-    if (rest_.empty()) return false;
-    const std::size_t nl = rest_.find('\n');
-    if (nl == std::string_view::npos) {
-      line = rest_;
-      rest_ = {};
-    } else {
-      line = rest_.substr(0, nl);
-      rest_ = rest_.substr(nl + 1);
-    }
-    return true;
-  }
-
-  [[nodiscard]] std::string_view rest() const { return rest_; }
-
- private:
-  std::string_view rest_;
+constexpr auto result_head_fields = [](auto& msg, auto&& f) {
+  f("id", msg.id);
+  f("cached", msg.cached);
 };
 
-/// "key value" -> (key, value); "key" alone -> (key, ""). The value may
-/// contain spaces (workload paths, variant labels, error messages).
-void split_first_space(std::string_view line, std::string_view& key,
-                       std::string_view& value) {
-  const std::size_t space = line.find(' ');
-  if (space == std::string_view::npos) {
-    key = line;
-    value = {};
-  } else {
-    key = line.substr(0, space);
-    value = line.substr(space + 1);
-  }
+constexpr auto id_fields = [](auto& msg, auto&& f) { f("id", msg.id); };
+
+constexpr auto busy_fields = [](auto& msg, auto&& f) {
+  f("id", msg.id);
+  f("retry_ms", msg.retry_ms);
+};
+
+constexpr auto subscribe_fields = [](auto& msg, auto&& f) {
+  f("fp", msg.fingerprint_hex);
+  f("channel", msg.channel);
+};
+
+constexpr auto update_head_fields = [](auto& msg, auto&& f) {
+  f("fp", msg.fingerprint_hex);
+  f("channel", msg.channel);
+  f("stride", msg.stride);
+  f("first", msg.first);
+  f("final", msg.final_update);
+};
+
+constexpr auto daemon_stats_fields = [](auto& stats, auto&& f) {
+  f("requests", stats.requests);
+  f("cache_hits", stats.cache_hits);
+  f("simulated", stats.simulated);
+  f("deduped", stats.deduped);
+  f("errors", stats.errors);
+  f("subscriptions", stats.subscriptions);
+  f("updates", stats.updates);
+  f("inflight", stats.inflight);
+  f("busy", stats.busy);
+  f("cancelled", stats.cancelled);
+  f("dropped_clients", stats.dropped_clients);
+  f("evicted", stats.evicted);
+  f("quarantined", stats.quarantined);
+};
+
+template <class Msg, class Fields>
+std::string encode_fields(const Msg& msg, const Fields& fields) {
+  std::string out;
+  fields(msg, codec::FieldWriter(out, ' '));
+  return out;
 }
 
-std::optional<std::uint64_t> parse_u64(std::string_view text) {
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
-    return std::nullopt;
-  const std::string copy(text);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(copy.c_str(), &end, 10);
-  if (end != copy.c_str() + copy.size() || errno != 0) return std::nullopt;
-  return v;
-}
-
-std::optional<bool> parse_bool(std::string_view text) {
-  if (text == "0") return false;
-  if (text == "1") return true;
-  return std::nullopt;
-}
-
-void append_u64_line(std::string& out, std::string_view key,
-                     std::uint64_t value) {
-  out += key;
-  out += ' ';
-  out += std::to_string(value);
-  out += '\n';
-}
-
-std::string render_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::optional<double> parse_double(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  const std::string copy(text);
-  char* end = nullptr;
-  const double v = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) return std::nullopt;
-  return v;
+/// Whole-payload decode of a fixed-shape message: exactly the listed
+/// fields, in order, and nothing after them.
+template <class Msg, class Fields>
+std::optional<Msg> decode_fields(std::string_view payload,
+                                 const Fields& fields) {
+  codec::LineScanner lines(payload);
+  codec::FieldReader read(lines, ' ');
+  Msg msg;
+  fields(msg, read);
+  if (!read.ok() || !lines.rest().empty()) return std::nullopt;
+  return msg;
 }
 
 }  // namespace
@@ -120,120 +99,79 @@ std::string_view msg_type_name(MsgType type) {
 
 std::string encode_cell_request(const CellRequest& request) {
   std::string out = "erel-cell v1\n";
-  append_u64_line(out, "id", request.id);
-  out += "fp ";
-  out += request.fingerprint_hex;
-  out += '\n';
-  out += "workload ";
-  out += request.workload;
-  out += '\n';
-  out += "key.policy ";
-  out += core::policy_name(request.key.policy);
-  out += '\n';
-  append_u64_line(out, "key.phys", request.key.phys);
-  out += "key.variant ";
-  out += request.key.variant;
-  out += '\n';
-  append_u64_line(out, "stat_stride", request.stat_stride);
-  for (const std::string& name : request.probe_names) {
-    out += "probe ";
-    out += name;
-    out += '\n';
-  }
+  const codec::FieldWriter put(out, ' ');
+  put("id", request.id);
+  put("fp", request.fingerprint_hex);
+  put("workload", request.workload);
+  put("key.policy", core::policy_name(request.key.policy));
+  put("key.phys", request.key.phys);
+  put("key.variant", request.key.variant);
+  put("stat_stride", request.stat_stride);
+  for (const std::string& name : request.probe_names) put("probe", name);
   // The canonical renderings are reused verbatim (prefixed for config so
   // the decoder can route lines); whatever the fingerprint hashes is what
   // crosses the wire.
   std::string canon;
   sim::append_canonical_fields(request.config, canon);
-  LineScanner scanner(canon);
+  codec::LineScanner scanner(canon);
   for (std::string_view line; scanner.next(line);) {
     out += "cfg.";
     out += line;
     out += '\n';
   }
   if (request.sampling) {
-    std::string sampling_canon;
-    sim::append_canonical_fields(*request.sampling, sampling_canon);
-    out += sampling_canon;  // lines already namespaced "sampling.*=..."
+    // Lines already namespaced "sampling.*=...".
+    sim::append_canonical_fields(*request.sampling, out);
   }
   out += "end\n";
   return out;
 }
 
 std::optional<CellRequest> decode_cell_request(std::string_view payload) {
-  LineScanner scanner(payload);
+  codec::LineScanner lines(payload);
   std::string_view line;
-  if (!scanner.next(line) || line != "erel-cell v1") return std::nullopt;
+  if (!lines.next(line) || line != "erel-cell v1") return std::nullopt;
 
   CellRequest request;
-  std::map<std::string, std::string, std::less<>> cfg_fields;
-  std::map<std::string, std::string, std::less<>> sampling_fields;
-  bool saw_id = false, saw_fp = false, saw_workload = false;
-  bool saw_policy = false, saw_phys = false, saw_variant = false;
-  bool saw_stride = false, saw_end = false;
-
-  while (scanner.next(line)) {
+  codec::FieldMap head, cfg_fields, sampling_fields;
+  bool saw_end = false;
+  while (lines.next(line)) {
     if (line == "end") {
       saw_end = true;
       break;
     }
     // Canonical field lines are "name=value"; everything else "key value".
-    if (line.substr(0, 4) == "cfg." || line.substr(0, 9) == "sampling.") {
-      const std::size_t eq = line.find('=');
-      if (eq == std::string_view::npos) return std::nullopt;
-      const bool is_cfg = line[0] == 'c';
-      std::string name(line.substr(is_cfg ? 4 : 0, eq - (is_cfg ? 4 : 0)));
-      auto& fields = is_cfg ? cfg_fields : sampling_fields;
-      if (!fields.emplace(std::move(name), std::string(line.substr(eq + 1)))
-               .second)
-        return std::nullopt;  // duplicate field
-      continue;
-    }
-    std::string_view key, value;
-    split_first_space(line, key, value);
-    if (key == "id") {
-      const auto v = parse_u64(value);
-      if (!v || saw_id) return std::nullopt;
-      request.id = *v;
-      saw_id = true;
-    } else if (key == "fp") {
-      if (value.empty() || saw_fp) return std::nullopt;
-      request.fingerprint_hex = value;
-      saw_fp = true;
-    } else if (key == "workload") {
-      if (value.empty() || saw_workload) return std::nullopt;
-      request.workload = value;
-      saw_workload = true;
-    } else if (key == "key.policy") {
-      const auto kind = core::try_parse_policy(value);
-      if (!kind || saw_policy) return std::nullopt;
-      request.key.policy = *kind;
-      saw_policy = true;
-    } else if (key == "key.phys") {
-      const auto v = parse_u64(value);
-      if (!v || *v > 0xffffffffull || saw_phys) return std::nullopt;
-      request.key.phys = static_cast<unsigned>(*v);
-      saw_phys = true;
-    } else if (key == "key.variant") {
-      if (saw_variant) return std::nullopt;
-      request.key.variant = value;
-      saw_variant = true;
-    } else if (key == "stat_stride") {
-      const auto v = parse_u64(value);
-      if (!v || saw_stride) return std::nullopt;
-      request.stat_stride = *v;
-      saw_stride = true;
-    } else if (key == "probe") {
-      if (value.empty() || value.find(' ') != std::string_view::npos)
+    bool fresh = true;
+    if (line.starts_with("cfg.")) {
+      fresh = codec::add_field(cfg_fields, line.substr(4), '=');
+    } else if (line.starts_with("sampling.")) {
+      fresh = codec::add_field(sampling_fields, line, '=');
+    } else if (line.starts_with("probe ")) {
+      const std::string_view name = line.substr(6);
+      if (name.empty() || name.find(' ') != std::string_view::npos)
         return std::nullopt;
-      request.probe_names.emplace_back(value);
+      request.probe_names.emplace_back(name);
     } else {
-      return std::nullopt;  // unknown line: reject, never skip silently
+      fresh = codec::add_field(head, line, ' ');
     }
+    if (!fresh) return std::nullopt;  // duplicate field
   }
-  if (!saw_end || !saw_id || !saw_fp || !saw_workload || !saw_policy ||
-      !saw_phys || !saw_variant || !saw_stride)
+  if (!saw_end || !lines.rest().empty()) return std::nullopt;
+
+  std::string policy;
+  codec::FieldReader read(head);
+  read("id", request.id);
+  read("fp", request.fingerprint_hex);
+  read("workload", request.workload);
+  read("key.policy", policy);
+  read("key.phys", request.key.phys);
+  read("key.variant", request.key.variant);
+  read("stat_stride", request.stat_stride);
+  const std::optional<core::PolicyKind> kind = core::try_parse_policy(policy);
+  if (!read.ok() || !kind || request.fingerprint_hex.empty() ||
+      request.workload.empty())
     return std::nullopt;
+  request.key.policy = *kind;
 
   const std::optional<sim::SimConfig> config =
       sim::config_from_canonical_fields(cfg_fields);
@@ -252,248 +190,116 @@ std::optional<CellRequest> decode_cell_request(std::string_view payload) {
 // ---- ResultMsg ----------------------------------------------------------
 
 std::string encode_result(const ResultMsg& msg) {
-  std::string out;
-  append_u64_line(out, "id", msg.id);
-  out += msg.cached ? "cached 1\n" : "cached 0\n";
-  out += msg.entry_text;
-  return out;
+  return encode_fields(msg, result_head_fields) + msg.entry_text;
 }
 
 std::optional<ResultMsg> decode_result(std::string_view payload) {
-  LineScanner scanner(payload);
-  std::string_view line, key, value;
+  codec::LineScanner lines(payload);
+  codec::FieldReader read(lines, ' ');
   ResultMsg msg;
-  if (!scanner.next(line)) return std::nullopt;
-  split_first_space(line, key, value);
-  const auto id = parse_u64(value);
-  if (key != "id" || !id) return std::nullopt;
-  msg.id = *id;
-  if (!scanner.next(line)) return std::nullopt;
-  split_first_space(line, key, value);
-  const auto cached = parse_bool(value);
-  if (key != "cached" || !cached) return std::nullopt;
-  msg.cached = *cached;
-  msg.entry_text = scanner.rest();
-  if (msg.entry_text.empty()) return std::nullopt;
+  result_head_fields(msg, read);
+  msg.entry_text = lines.rest();
+  if (!read.ok() || msg.entry_text.empty()) return std::nullopt;
   return msg;
 }
 
 // ---- ErrorMsg -----------------------------------------------------------
 
 std::string encode_error(const ErrorMsg& msg) {
-  std::string out;
-  append_u64_line(out, "id", msg.id);
-  out += msg.message;
-  return out;
+  return encode_fields(msg, id_fields) + msg.message;
 }
 
 std::optional<ErrorMsg> decode_error(std::string_view payload) {
-  LineScanner scanner(payload);
-  std::string_view line, key, value;
-  if (!scanner.next(line)) return std::nullopt;
-  split_first_space(line, key, value);
-  const auto id = parse_u64(value);
-  if (key != "id" || !id) return std::nullopt;
-  return ErrorMsg{*id, std::string(scanner.rest())};
+  codec::LineScanner lines(payload);
+  codec::FieldReader read(lines, ' ');
+  ErrorMsg msg;
+  id_fields(msg, read);
+  if (!read.ok()) return std::nullopt;
+  msg.message = lines.rest();
+  return msg;
 }
 
 // ---- CancelMsg ----------------------------------------------------------
 
 std::string encode_cancel(const CancelMsg& msg) {
-  std::string out;
-  append_u64_line(out, "id", msg.id);
-  return out;
+  return encode_fields(msg, id_fields);
 }
 
 std::optional<CancelMsg> decode_cancel(std::string_view payload) {
-  LineScanner scanner(payload);
-  std::string_view line, key, value;
-  if (!scanner.next(line)) return std::nullopt;
-  split_first_space(line, key, value);
-  const auto id = parse_u64(value);
-  if (key != "id" || !id) return std::nullopt;
-  if (!scanner.rest().empty()) return std::nullopt;
-  return CancelMsg{*id};
+  return decode_fields<CancelMsg>(payload, id_fields);
 }
 
 // ---- BusyMsg ------------------------------------------------------------
 
 std::string encode_busy(const BusyMsg& msg) {
-  std::string out;
-  append_u64_line(out, "id", msg.id);
-  append_u64_line(out, "retry_ms", msg.retry_ms);
-  return out;
+  return encode_fields(msg, busy_fields);
 }
 
 std::optional<BusyMsg> decode_busy(std::string_view payload) {
-  LineScanner scanner(payload);
-  std::string_view line, key, value;
-  BusyMsg msg;
-  if (!scanner.next(line)) return std::nullopt;
-  split_first_space(line, key, value);
-  const auto id = parse_u64(value);
-  if (key != "id" || !id) return std::nullopt;
-  msg.id = *id;
-  if (!scanner.next(line)) return std::nullopt;
-  split_first_space(line, key, value);
-  const auto retry = parse_u64(value);
-  if (key != "retry_ms" || !retry) return std::nullopt;
-  msg.retry_ms = *retry;
-  if (!scanner.rest().empty()) return std::nullopt;
-  return msg;
+  return decode_fields<BusyMsg>(payload, busy_fields);
 }
 
 // ---- SubscribeMsg -------------------------------------------------------
 
 std::string encode_subscribe(const SubscribeMsg& msg) {
-  std::string out = "fp ";
-  out += msg.fingerprint_hex;
-  out += "\nchannel ";
-  out += msg.channel;
-  out += '\n';
-  return out;
+  return encode_fields(msg, subscribe_fields);
 }
 
 std::optional<SubscribeMsg> decode_subscribe(std::string_view payload) {
-  LineScanner scanner(payload);
-  std::string_view line, key, value;
-  SubscribeMsg msg;
-  if (!scanner.next(line)) return std::nullopt;
-  split_first_space(line, key, value);
-  if (key != "fp" || value.empty()) return std::nullopt;
-  msg.fingerprint_hex = value;
-  if (!scanner.next(line)) return std::nullopt;
-  split_first_space(line, key, value);
-  if (key != "channel" || value.empty() ||
-      value.find(' ') != std::string_view::npos)
+  std::optional<SubscribeMsg> msg =
+      decode_fields<SubscribeMsg>(payload, subscribe_fields);
+  if (!msg || msg->fingerprint_hex.empty() || msg->channel.empty() ||
+      msg->channel.find(' ') != std::string::npos)
     return std::nullopt;
-  msg.channel = value;
-  if (!scanner.rest().empty()) return std::nullopt;
   return msg;
 }
 
 // ---- UpdateMsg ----------------------------------------------------------
 
 std::string encode_update(const UpdateMsg& msg) {
-  std::string out = "fp ";
-  out += msg.fingerprint_hex;
-  out += "\nchannel ";
-  out += msg.channel;
-  out += '\n';
-  append_u64_line(out, "stride", msg.stride);
-  append_u64_line(out, "first", msg.first);
-  out += msg.final_update ? "final 1\n" : "final 0\n";
-  append_u64_line(out, "count", msg.points.size());
+  std::string out;
+  const codec::FieldWriter put(out, ' ');
+  update_head_fields(msg, put);
+  put("count", msg.points.size());
   for (const double p : msg.points) {
-    out += render_double(p);
+    out += codec::render_double(p);
     out += '\n';
   }
   return out;
 }
 
 std::optional<UpdateMsg> decode_update(std::string_view payload) {
-  LineScanner scanner(payload);
-  std::string_view line, key, value;
+  codec::LineScanner lines(payload);
+  codec::FieldReader read(lines, ' ');
   UpdateMsg msg;
-  const auto expect = [&](std::string_view want,
-                          std::string_view& out) -> bool {
-    if (!scanner.next(line)) return false;
-    split_first_space(line, key, value);
-    if (key != want) return false;
-    out = value;
-    return true;
-  };
-  std::string_view text;
-  if (!expect("fp", text) || text.empty()) return std::nullopt;
-  msg.fingerprint_hex = text;
-  if (!expect("channel", text) || text.empty()) return std::nullopt;
-  msg.channel = text;
-  if (!expect("stride", text)) return std::nullopt;
-  const auto stride = parse_u64(text);
-  if (!stride) return std::nullopt;
-  msg.stride = *stride;
-  if (!expect("first", text)) return std::nullopt;
-  const auto first = parse_u64(text);
-  if (!first) return std::nullopt;
-  msg.first = *first;
-  if (!expect("final", text)) return std::nullopt;
-  const auto final_update = parse_bool(text);
-  if (!final_update) return std::nullopt;
-  msg.final_update = *final_update;
-  if (!expect("count", text)) return std::nullopt;
-  const auto count = parse_u64(text);
-  if (!count) return std::nullopt;
-  msg.points.reserve(*count);
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    if (!scanner.next(line)) return std::nullopt;
-    const auto p = parse_double(line);
+  std::uint64_t count = 0;
+  update_head_fields(msg, read);
+  read("count", count);
+  if (!read.ok() || msg.fingerprint_hex.empty() || msg.channel.empty())
+    return std::nullopt;
+  // Every point takes at least one byte: a count the payload cannot hold
+  // is rejected before it sizes an allocation.
+  if (count > lines.rest().size()) return std::nullopt;
+  msg.points.reserve(count);
+  std::string_view line;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (!lines.next(line)) return std::nullopt;
+    const std::optional<double> p = codec::parse_double(line);
     if (!p) return std::nullopt;
     msg.points.push_back(*p);
   }
-  if (!scanner.rest().empty()) return std::nullopt;
+  if (!lines.rest().empty()) return std::nullopt;
   return msg;
 }
 
 // ---- DaemonStats --------------------------------------------------------
 
-namespace {
-
-template <class Stats, class Fn>
-void daemon_stats_fields(Stats& stats, Fn&& f) {
-  f("requests", stats.requests);
-  f("cache_hits", stats.cache_hits);
-  f("simulated", stats.simulated);
-  f("deduped", stats.deduped);
-  f("errors", stats.errors);
-  f("subscriptions", stats.subscriptions);
-  f("updates", stats.updates);
-  f("inflight", stats.inflight);
-  f("busy", stats.busy);
-  f("cancelled", stats.cancelled);
-  f("dropped_clients", stats.dropped_clients);
-  f("evicted", stats.evicted);
-  f("quarantined", stats.quarantined);
-}
-
-}  // namespace
-
 std::string encode_stats(const DaemonStats& stats) {
-  std::string out;
-  daemon_stats_fields(stats, [&out](std::string_view name, std::uint64_t v) {
-    append_u64_line(out, name, v);
-  });
-  return out;
+  return encode_fields(stats, daemon_stats_fields);
 }
 
 std::optional<DaemonStats> decode_stats(std::string_view payload) {
-  std::map<std::string, std::string, std::less<>> fields;
-  LineScanner scanner(payload);
-  for (std::string_view line; scanner.next(line);) {
-    if (line.empty()) continue;
-    std::string_view key, value;
-    split_first_space(line, key, value);
-    if (!fields.emplace(std::string(key), std::string(value)).second)
-      return std::nullopt;
-  }
-  DaemonStats stats;
-  bool ok = true;
-  std::size_t consumed = 0;
-  daemon_stats_fields(stats, [&](std::string_view name, std::uint64_t& v) {
-    const auto it = fields.find(name);
-    if (it == fields.end()) {
-      ok = false;
-      return;
-    }
-    ++consumed;
-    const auto parsed = parse_u64(it->second);
-    if (!parsed) {
-      ok = false;
-      return;
-    }
-    v = *parsed;
-  });
-  if (!ok || consumed != fields.size()) return std::nullopt;
-  return stats;
+  return decode_fields<DaemonStats>(payload, daemon_stats_fields);
 }
 
 }  // namespace erel::service

@@ -1,8 +1,6 @@
 #include "sim/config.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
+#include "common/text_codec.hpp"
 
 namespace erel::sim {
 
@@ -16,10 +14,10 @@ namespace {
 // canonical serializer and its parser so the two can never disagree about
 // the field list (a field added to one but not the other fails the strict
 // parse, which the round-trip test catches). `Config` is (const) SimConfig;
-// the visitor is overloaded on the member types.
+// the visitor is codec::FieldWriter or codec::FieldReader.
 template <class Config, class Fn>
 void canonical_fields(Config& config, Fn&& f) {
-  f("policy", config.policy);
+  f("policy", config.policy, core::PolicyKind::Extended);
   f("phys_int", config.phys_int);
   f("phys_fp", config.phys_fp);
   f("ros_size", config.ros_size);
@@ -58,101 +56,18 @@ void canonical_fields(Config& config, Fn&& f) {
   // one (pinned by tests/test_fastpath.cpp), so one cached cell serves both.
 }
 
-/// Appends "name=value" lines; every member type renders as a decimal
-/// std::uint64_t, exactly like the original hand-written serializer.
-struct FieldWriter {
-  std::string& out;
-
-  void emit(std::string_view name, std::uint64_t value) const {
-    out += name;
-    out += '=';
-    out += std::to_string(value);
-    out += '\n';
-  }
-  void operator()(std::string_view name, std::uint64_t v) const {
-    emit(name, v);
-  }
-  void operator()(std::string_view name, unsigned v) const { emit(name, v); }
-  void operator()(std::string_view name, bool v) const {
-    emit(name, v ? 1 : 0);
-  }
-  void operator()(std::string_view name, core::PolicyKind v) const {
-    emit(name, static_cast<std::uint64_t>(v));
-  }
-};
-
-/// Assigns members from a name->text map; tracks strictness violations.
-struct FieldReader {
-  const std::map<std::string, std::string, std::less<>>& fields;
-  std::size_t consumed = 0;
-  bool ok = true;
-
-  std::optional<std::uint64_t> get(std::string_view name) {
-    const auto it = fields.find(name);
-    if (it == fields.end()) {
-      ok = false;
-      return std::nullopt;
-    }
-    ++consumed;
-    const std::string& text = it->second;
-    // strtoull silently wraps "-1"; require a plain digit string.
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
-      ok = false;
-      return std::nullopt;
-    }
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size() || errno != 0) {
-      ok = false;
-      return std::nullopt;
-    }
-    return v;
-  }
-  void operator()(std::string_view name, std::uint64_t& v) {
-    if (const auto got = get(name)) v = *got;
-  }
-  void operator()(std::string_view name, unsigned& v) {
-    const auto got = get(name);
-    if (!got) return;
-    if (*got > 0xffffffffull) {
-      ok = false;
-      return;
-    }
-    v = static_cast<unsigned>(*got);
-  }
-  void operator()(std::string_view name, bool& v) {
-    const auto got = get(name);
-    if (!got) return;
-    if (*got > 1) {
-      ok = false;
-      return;
-    }
-    v = *got != 0;
-  }
-  void operator()(std::string_view name, core::PolicyKind& v) {
-    const auto got = get(name);
-    if (!got) return;
-    if (*got > static_cast<std::uint64_t>(core::PolicyKind::Extended)) {
-      ok = false;
-      return;
-    }
-    v = static_cast<core::PolicyKind>(*got);
-  }
-};
-
 }  // namespace
 
 void append_canonical_fields(const SimConfig& config, std::string& out) {
-  canonical_fields(config, FieldWriter{out});
+  canonical_fields(config, codec::FieldWriter(out, '='));
 }
 
 std::optional<SimConfig> config_from_canonical_fields(
     const std::map<std::string, std::string, std::less<>>& fields) {
   SimConfig config;
-  FieldReader reader{fields};
+  codec::FieldReader reader(fields);
   canonical_fields(config, reader);
-  if (!reader.ok || reader.consumed != fields.size()) return std::nullopt;
+  if (!reader.ok()) return std::nullopt;
   return config;
 }
 

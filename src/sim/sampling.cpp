@@ -1,11 +1,8 @@
 #include "sim/sampling.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -17,6 +14,7 @@
 #include "arch/arch_state.hpp"
 #include "arch/checkpoint.hpp"
 #include "common/log.hpp"
+#include "common/text_codec.hpp"
 #include "common/thread_pool.hpp"
 #include "pipeline/core.hpp"
 #include "sim/warm_state.hpp"
@@ -126,77 +124,43 @@ Placement parse_placement(std::string_view name) {
              "' (expected periodic|random|stratified)");
 }
 
-void append_canonical_fields(const SamplingConfig& sampling, std::string& out) {
-  const auto field = [&out](std::string_view name, std::uint64_t value) {
-    out += name;
-    out += '=';
-    out += std::to_string(value);
-    out += '\n';
-  };
-  field("sampling.period", sampling.period);
-  field("sampling.warmup", sampling.warmup);
-  field("sampling.detail", sampling.detail);
-  field("sampling.max_samples", sampling.max_samples);
-  field("sampling.functional_warming", sampling.functional_warming ? 1 : 0);
-  field("sampling.placement", static_cast<std::uint64_t>(sampling.placement));
-  field("sampling.seed", sampling.seed);
+namespace {
+
+// Every result-affecting SamplingConfig field, walked by both the canonical
+// serializer and its strict parser (see canonical_fields in config.cpp).
+// `threads` is absent by design (wall-clock only; the daemon picks its own
+// shard count).
+template <class Sampling, class Fn>
+void sampling_canonical_fields(Sampling& sampling, Fn&& f) {
+  f("sampling.period", sampling.period);
+  f("sampling.warmup", sampling.warmup);
+  f("sampling.detail", sampling.detail);
+  f("sampling.max_samples", sampling.max_samples);
+  f("sampling.functional_warming", sampling.functional_warming);
+  f("sampling.placement", sampling.placement, Placement::kStratified);
+  f("sampling.seed", sampling.seed);
   // target_ci is a double; print the exact bit pattern rather than a
   // rounded decimal so equal configs always hash equally.
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%a", sampling.target_ci);
-  out += "sampling.target_ci=";
-  out += buf;
-  out += '\n';
+  f("sampling.target_ci", sampling.target_ci, codec::kHexfloat);
+}
+
+}  // namespace
+
+void append_canonical_fields(const SamplingConfig& sampling, std::string& out) {
+  sampling_canonical_fields(sampling, codec::FieldWriter(out, '='));
 }
 
 std::optional<SamplingConfig> sampling_from_canonical_fields(
     const std::map<std::string, std::string, std::less<>>& fields) {
   SamplingConfig s;
-  std::size_t consumed = 0;
-  bool ok = true;
-  const auto get_u64 = [&](std::string_view name) -> std::uint64_t {
-    const auto it = fields.find(name);
-    if (it == fields.end() || it->second.empty() ||
-        !std::isdigit(static_cast<unsigned char>(it->second[0]))) {
-      ok = false;
-      return 0;
-    }
-    ++consumed;
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-    if (end != it->second.c_str() + it->second.size() || errno != 0) ok = false;
-    return v;
-  };
-  s.period = get_u64("sampling.period");
-  s.warmup = get_u64("sampling.warmup");
-  s.detail = get_u64("sampling.detail");
-  s.max_samples = get_u64("sampling.max_samples");
-  const std::uint64_t warming = get_u64("sampling.functional_warming");
-  if (warming > 1) ok = false;
-  s.functional_warming = warming != 0;
-  const std::uint64_t placement = get_u64("sampling.placement");
-  if (placement > static_cast<std::uint64_t>(Placement::kStratified))
-    ok = false;
-  s.placement = static_cast<Placement>(placement);
-  s.seed = get_u64("sampling.seed");
-  // target_ci round-trips through the "%a" hexfloat rendering; strtod
-  // parses it exactly.
-  if (const auto it = fields.find("sampling.target_ci"); it != fields.end()) {
-    ++consumed;
-    char* end = nullptr;
-    s.target_ci = std::strtod(it->second.c_str(), &end);
-    if (it->second.empty() || end != it->second.c_str() + it->second.size())
-      ok = false;
-  } else {
-    ok = false;
-  }
-  // `threads` is absent by design (wall-clock only); the daemon picks its
-  // own shard count. Reject extra fields so skew fails loudly.
-  if (!ok || consumed != fields.size()) return std::nullopt;
+  codec::FieldReader reader(fields);
+  sampling_canonical_fields(s, reader);
+  if (!reader.ok()) return std::nullopt;
   // The SampledSimulator constructor EREL_CHECKs these; validate here so a
   // malformed request is an error reply, not a daemon abort.
-  if (s.detail == 0 || s.period <= s.warmup + s.detail) return std::nullopt;
+  if (s.detail == 0 || s.period <= s.warmup + s.detail ||
+      !(s.target_ci >= 0.0))
+    return std::nullopt;
   return s;
 }
 

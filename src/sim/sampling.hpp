@@ -72,8 +72,9 @@ void append_canonical_fields(const SamplingConfig& sampling, std::string& out);
 
 /// Inverse of append_canonical_fields (experiment-daemon wire format).
 /// Strict: every canonical field present exactly once, no unknown names,
-/// and the (period, warmup, detail) relation the SampledSimulator asserts
-/// must hold — a malformed request parses as nullopt, never aborts.
+/// and everything the SampledSimulator constructor asserts (the period,
+/// warmup and detail relation, a non-negative target_ci) must hold — a
+/// malformed request parses as nullopt, never aborts.
 [[nodiscard]] std::optional<SamplingConfig> sampling_from_canonical_fields(
     const std::map<std::string, std::string, std::less<>>& fields);
 

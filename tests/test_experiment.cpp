@@ -521,6 +521,23 @@ TEST(ResultCache, CorruptValueIsAMissNotAWrongNumber) {
   EXPECT_FALSE(corrupt("stats.int.avg_idle 12.625", "stats.int.avg_idle abc"));
   // Garbage bool.
   EXPECT_FALSE(corrupt("stats.halted 1", "stats.halted yes"));
+  // Signs and stray whitespace are not integers (strtoull read "-1" as
+  // 2^64-1 and skipped the leading blank).
+  EXPECT_FALSE(corrupt("stats.cycles 12345", "stats.cycles -1"));
+  EXPECT_FALSE(corrupt("stats.cycles 12345", "stats.cycles +7"));
+  EXPECT_FALSE(corrupt("stats.cycles 12345", "stats.cycles  7"));
+  // Unknown and duplicated fields.
+  EXPECT_FALSE(corrupt("end\n", "stats.bogus 7\nend\n"));
+  EXPECT_FALSE(corrupt("stats.committed 6789\n",
+                       "stats.committed 6789\nstats.committed 6789\n"));
+  // Trailing junk after a key field the cell is matched on (fake_entry's
+  // phys is 48, so "48junk" would pass a prefix parse), the sample count
+  // and a sample record.
+  EXPECT_FALSE(corrupt("key.phys 48", "key.phys 64junk"));
+  EXPECT_FALSE(corrupt("key.phys 48", "key.phys 48junk"));
+  EXPECT_FALSE(corrupt("samples 2", "samples two"));
+  EXPECT_FALSE(corrupt("s 5000 100 150", "s 5000 100 150junk"));
+  EXPECT_FALSE(corrupt("s 0 100 200", "s 1 2 3junk"));
   // Control: untouched text still parses.
   EXPECT_TRUE(harness::parse_entry(good, "00ff00ff00ff00ff", e.key));
 }

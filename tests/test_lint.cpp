@@ -437,5 +437,44 @@ TEST(LintProject, DeletingACanonicalFieldLineFailsTheLint) {
       << format_findings(clean);
 }
 
+TEST(LintProject, DeletingASamplingFieldLineFailsTheLint) {
+  // The sampling serializer is a field list walked by the shared codec
+  // visitors; stripping its seed line must still fire the coverage rule.
+  const std::string header_path =
+      std::string(EREL_SOURCE_DIR) + "/src/sim/sampling.hpp";
+  const std::string impl_path =
+      std::string(EREL_SOURCE_DIR) + "/src/sim/sampling.cpp";
+  std::string impl = read_file_or_die(impl_path);
+  const std::size_t at = impl.find("\"sampling.seed\"");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t from = impl.rfind('\n', at) + 1;
+  const std::size_t to = impl.find('\n', at) + 1;
+  impl.erase(from, to - from);
+
+  const RuleConfig project = erel_project_rules();
+  RuleConfig rules;
+  for (const RuleConfig::Coverage& cov : project.coverage)
+    if (cov.struct_name == "SamplingConfig") rules.coverage.push_back(cov);
+  ASSERT_EQ(rules.coverage.size(), 1u);
+
+  FileSet files;
+  files.emplace("src/sim/sampling.hpp",
+                tokenize("src/sim/sampling.hpp", read_file_or_die(header_path)));
+  files.emplace("src/sim/sampling.cpp", tokenize("src/sim/sampling.cpp", impl));
+  const auto findings = lint(files, rules);
+  EXPECT_TRUE(subjects(with_rule(findings, "fingerprint-coverage"))
+                  .count("SamplingConfig::seed"))
+      << format_findings(findings);
+
+  // Control: the untouched file only reports the allowlisted exemption.
+  FileSet control;
+  control.emplace("src/sim/sampling.hpp",
+                  tokenize("src/sim/sampling.hpp", read_file_or_die(header_path)));
+  control.emplace("src/sim/sampling.cpp",
+                  tokenize("src/sim/sampling.cpp", read_file_or_die(impl_path)));
+  EXPECT_EQ(subjects(with_rule(lint(control, rules), "fingerprint-coverage")),
+            (std::set<std::string>{"SamplingConfig::threads"}));
+}
+
 }  // namespace
 }  // namespace erel::lint

@@ -138,6 +138,8 @@ TEST(Endpoint, RejectsMalformedSpecs) {
   EXPECT_FALSE(net::parse_endpoint("host:0"));
   EXPECT_FALSE(net::parse_endpoint("host:70000"));
   EXPECT_FALSE(net::parse_endpoint("host:12x"));
+  EXPECT_FALSE(net::parse_endpoint("host:+80"));
+  EXPECT_FALSE(net::parse_endpoint("host: 80"));
 }
 
 TEST(Socket, LoopbackFrameRoundTripAndCleanEof) {
@@ -252,6 +254,23 @@ TEST(Protocol, CellRequestRejectsMalformedPayloads) {
   EXPECT_FALSE(service::decode_cell_request(bad_cfg));
 }
 
+TEST(Protocol, CellRequestRejectsATargetCiTheSamplerWouldAbortOn) {
+  // SampledSimulator's constructor checks target_ci >= 0; a decoded request
+  // must never reach that check with a value that fails it.
+  service::CellRequest request = sample_request();
+  request.sampling = sim::SamplingConfig{};
+  const std::string good = service::encode_cell_request(request);
+  ASSERT_TRUE(service::decode_cell_request(good));
+  const std::string field = "sampling.target_ci=0x0p+0";
+  const std::size_t pos = good.find(field);
+  ASSERT_NE(pos, std::string::npos);
+  for (const char* bad : {"sampling.target_ci=-1", "sampling.target_ci=nan"}) {
+    std::string text = good;
+    text.replace(pos, field.size(), bad);
+    EXPECT_FALSE(service::decode_cell_request(text)) << bad;
+  }
+}
+
 TEST(Protocol, ResultAndErrorRoundTrip) {
   const service::ResultMsg msg{23, true, "erel-result v1\n...entry...\nend\n"};
   const auto out = service::decode_result(service::encode_result(msg));
@@ -301,6 +320,13 @@ TEST(Protocol, SubscribeAndUpdateRoundTrip) {
   std::string torn = service::encode_update(update);
   torn.resize(torn.rfind('\n', torn.size() - 2));
   EXPECT_FALSE(service::decode_update(torn));
+  // A count the payload cannot hold is rejected before it sizes an
+  // allocation (reserve(2^64-1) throws).
+  std::string huge = service::encode_update(empty);
+  const std::size_t at = huge.find("count 0\n");
+  ASSERT_NE(at, std::string::npos);
+  huge.replace(at, 7, "count 18446744073709551615");
+  EXPECT_FALSE(service::decode_update(huge));
 }
 
 TEST(Protocol, EveryMsgTypeHasAName) {

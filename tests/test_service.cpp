@@ -301,6 +301,46 @@ TEST(Service, DaemonRefusesMismatchedFingerprintsAndUnknownProbes) {
   EXPECT_EQ(stats.simulated, 0u);
 }
 
+TEST(Service, DaemonRefusesAnInvalidTargetCiAndKeepsServing) {
+  DaemonFixture fixture;
+  service::CellRequest request;
+  request.id = 11;
+  request.key = harness::ExpKey{"li", core::PolicyKind::Conventional,
+                                tiny_config().phys_int, ""};
+  request.workload = "li";
+  request.config = tiny_config();
+  sim::SamplingConfig sampling;
+  sampling.period = 8'000;
+  sampling.warmup = 500;
+  sampling.detail = 1'000;
+  sampling.target_ci = -1.0;  // SampledSimulator would abort on this
+  request.sampling = sampling;
+  request.fingerprint_hex =
+      harness::fingerprint_cell("li", request.config, sampling, {}).hex();
+  {
+    service::RemoteClient client;
+    ASSERT_TRUE(client.connect(fixture.endpoint())) << client.error();
+    ASSERT_TRUE(client.send_cell(request));
+    std::string why;
+    EXPECT_FALSE(client.await(11, &why).has_value());
+    EXPECT_NE(why.find("malformed cell request"), std::string::npos) << why;
+  }
+
+  // The daemon survived: a fresh connection gets a good cell served.
+  service::RemoteClient client;
+  ASSERT_TRUE(client.connect(fixture.endpoint())) << client.error();
+  request.id = 12;
+  request.sampling.reset();
+  request.fingerprint_hex =
+      harness::fingerprint_cell("li", request.config, std::nullopt, {}).hex();
+  ASSERT_TRUE(client.send_cell(request));
+  std::string why;
+  EXPECT_TRUE(client.await(12, &why).has_value()) << why;
+  const service::DaemonStats stats = fixture.daemon->stats();
+  EXPECT_EQ(stats.errors, 1u);
+  EXPECT_EQ(stats.simulated, 1u);
+}
+
 TEST(Service, StatsAndShutdownRoundTrip) {
   auto fixture = std::make_unique<DaemonFixture>();
   service::RemoteClient client;

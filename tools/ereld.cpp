@@ -14,8 +14,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 
+#include "common/text_codec.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
 
@@ -25,6 +28,22 @@ erel::service::ExperimentDaemon* g_daemon = nullptr;
 
 void handle_signal(int) {
   if (g_daemon != nullptr) g_daemon->stop();  // atomic store + pipe write
+}
+
+/// Strict numeric option: decimal digits that fit `out`'s type. Anything
+/// else names the flag and exits 2.
+template <class T>
+void numeric_flag(const char* argv0, const char* flag, const std::string& text,
+                  T& out) {
+  const std::optional<T> v = erel::codec::parse_unsigned<T>(text);
+  if (!v) {
+    std::fprintf(stderr, "%s: invalid value '%s' for %s (expected 0..%llu)\n",
+                 argv0, text.c_str(), flag,
+                 static_cast<unsigned long long>(
+                     std::numeric_limits<T>::max()));
+    std::exit(2);
+  }
+  out = *v;
 }
 
 void usage(const char* argv0) {
@@ -73,6 +92,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
       std::exit(2);
     };
+    const auto number = [&](const char* flag, auto& out) {
+      numeric_flag(argv[0], flag, value(flag), out);
+    };
     const auto matches = [&](const char* flag) {
       const std::size_t len = std::strlen(flag);
       return arg == flag ||
@@ -87,28 +109,21 @@ int main(int argc, char** argv) {
     } else if (matches("--host")) {
       opts.host = value("--host");
     } else if (matches("--port")) {
-      opts.port = static_cast<std::uint16_t>(
-          std::strtoul(value("--port").c_str(), nullptr, 10));
+      number("--port", opts.port);
     } else if (matches("--cache-dir")) {
       opts.cache_dir = value("--cache-dir");
     } else if (matches("--workers")) {
-      opts.workers = static_cast<unsigned>(
-          std::strtoul(value("--workers").c_str(), nullptr, 10));
+      number("--workers", opts.workers);
     } else if (matches("--tick-ms")) {
-      opts.tick_ms = static_cast<unsigned>(
-          std::strtoul(value("--tick-ms").c_str(), nullptr, 10));
+      number("--tick-ms", opts.tick_ms);
     } else if (matches("--snapshot-cycles")) {
-      opts.snapshot_interval_cycles =
-          std::strtoull(value("--snapshot-cycles").c_str(), nullptr, 10);
+      number("--snapshot-cycles", opts.snapshot_interval_cycles);
     } else if (matches("--max-queue")) {
-      opts.max_queue = static_cast<std::size_t>(
-          std::strtoull(value("--max-queue").c_str(), nullptr, 10));
+      number("--max-queue", opts.max_queue);
     } else if (matches("--max-cache-bytes")) {
-      opts.max_cache_bytes =
-          std::strtoull(value("--max-cache-bytes").c_str(), nullptr, 10);
+      number("--max-cache-bytes", opts.max_cache_bytes);
     } else if (matches("--busy-retry-ms")) {
-      opts.busy_retry_ms = static_cast<unsigned>(
-          std::strtoul(value("--busy-retry-ms").c_str(), nullptr, 10));
+      number("--busy-retry-ms", opts.busy_retry_ms);
     } else {
       std::fprintf(stderr, "%s: unknown option %s\n", argv[0], argv[i]);
       usage(argv[0]);

@@ -16,12 +16,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include <poll.h>
 #include <unistd.h>
 
+#include "common/text_codec.hpp"
 #include "net/fault.hpp"
+#include "net/socket.hpp"
 
 namespace {
 
@@ -29,6 +33,22 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 
 void handle_signal(int) { g_stop = 1; }
+
+/// Strict numeric option: decimal digits that fit `out`'s type. Anything
+/// else names the flag and exits 2.
+template <class T>
+void numeric_flag(const char* argv0, const char* flag, const std::string& text,
+                  T& out) {
+  const std::optional<T> v = erel::codec::parse_unsigned<T>(text);
+  if (!v) {
+    std::fprintf(stderr, "%s: invalid value '%s' for %s (expected 0..%llu)\n",
+                 argv0, text.c_str(), flag,
+                 static_cast<unsigned long long>(
+                     std::numeric_limits<T>::max()));
+    std::exit(2);
+  }
+  out = *v;
+}
 
 void usage(const char* argv0) {
   std::printf(
@@ -56,6 +76,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
       std::exit(2);
     };
+    const auto number = [&](const char* flag, auto& out) {
+      numeric_flag(argv[0], flag, value(flag), out);
+    };
     const auto matches = [&](const char* flag) {
       const std::size_t len = std::strlen(flag);
       return arg == flag ||
@@ -70,10 +93,9 @@ int main(int argc, char** argv) {
     } else if (matches("--host")) {
       host = value("--host");
     } else if (matches("--port")) {
-      port = static_cast<std::uint16_t>(
-          std::strtoul(value("--port").c_str(), nullptr, 10));
+      number("--port", port);
     } else if (matches("--seed")) {
-      seed = std::strtoull(value("--seed").c_str(), nullptr, 10);
+      number("--seed", seed);
     } else {
       std::fprintf(stderr, "%s: unknown option %s\n", argv[0], argv[i]);
       usage(argv[0]);
@@ -81,16 +103,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::size_t colon = upstream.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == upstream.size()) {
-    std::fprintf(stderr, "%s: --upstream must be HOST:PORT\n", argv[0]);
+  const auto endpoint = erel::net::parse_endpoint(upstream);
+  if (!endpoint) {
+    std::fprintf(stderr, "%s: --upstream must be HOST:PORT (port 1..65535)\n",
+                 argv[0]);
     usage(argv[0]);
     return 2;
   }
-  const std::string up_host = upstream.substr(0, colon);
-  const auto up_port = static_cast<std::uint16_t>(
-      std::strtoul(upstream.c_str() + colon + 1, nullptr, 10));
+  const auto& [up_host, up_port] = *endpoint;
 
   erel::net::FaultProxy proxy(up_host, up_port, erel::net::FaultPlan(seed),
                               host, port);
