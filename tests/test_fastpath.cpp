@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/arch_state.hpp"
@@ -168,6 +171,89 @@ TEST(FastPathEquivalence, StoreIntoCodeImageFallsBackByteAccurately) {
   }
   EXPECT_EQ(fast.pc(), legacy.pc());
   EXPECT_EQ(fast.instructions_executed(), legacy.instructions_executed());
+}
+
+/// Every field of two step records, named on mismatch.
+void expect_same_step(const arch::StepInfo& a, const arch::StepInfo& b) {
+  EXPECT_EQ(a.pc, b.pc);
+  EXPECT_EQ(a.next_pc, b.next_pc) << "pc " << a.pc;
+  EXPECT_EQ(isa::encode(a.inst), isa::encode(b.inst)) << "pc " << a.pc;
+  EXPECT_EQ(a.kind, b.kind) << "pc " << a.pc;
+  EXPECT_EQ(a.has_dst, b.has_dst) << "pc " << a.pc;
+  EXPECT_EQ(a.dst_class, b.dst_class) << "pc " << a.pc;
+  EXPECT_EQ(a.dst_reg, b.dst_reg) << "pc " << a.pc;
+  EXPECT_EQ(a.dst_value, b.dst_value) << "pc " << a.pc;
+  EXPECT_EQ(a.is_store, b.is_store) << "pc " << a.pc;
+  EXPECT_EQ(a.is_load, b.is_load) << "pc " << a.pc;
+  EXPECT_EQ(a.mem_addr, b.mem_addr) << "pc " << a.pc;
+  EXPECT_EQ(a.mem_bytes, b.mem_bytes) << "pc " << a.pc;
+  EXPECT_EQ(a.store_value, b.store_value) << "pc " << a.pc;
+  EXPECT_EQ(a.halted, b.halted) << "pc " << a.pc;
+  EXPECT_EQ(a.illegal, b.illegal) << "pc " << a.pc;
+}
+
+/// Pc, retired count, every register, halt flag and device state.
+void expect_same_state(const arch::ArchState& a, const arch::ArchState& b) {
+  EXPECT_EQ(a.pc(), b.pc());
+  EXPECT_EQ(a.instructions_executed(), b.instructions_executed());
+  EXPECT_EQ(a.halted(), b.halted());
+  for (unsigned r = 0; r < isa::kNumLogicalRegs; ++r) {
+    EXPECT_EQ(a.int_reg(r), b.int_reg(r)) << "r" << r;
+    EXPECT_EQ(a.fp_reg(r), b.fp_reg(r)) << "f" << r;
+  }
+  EXPECT_TRUE(a.device() == b.device());
+}
+
+/// Every registry kernel (steps capped so the suite stays fast; the
+/// interrupt kernels still take several device ticks inside the cap) plus
+/// the self-modifying program.
+std::vector<std::pair<std::string, arch::Program>> lockstep_programs() {
+  std::vector<std::pair<std::string, arch::Program>> out;
+  for (const std::string& name : workloads::workload_names())
+    out.emplace_back(name, workloads::assemble_workload(name));
+  out.emplace_back("self_modifying", self_modifying_program());
+  return out;
+}
+
+constexpr std::uint64_t kLockstepSteps = 200'000;
+
+/// step() over the decoded image and step() over memory bytes produce the
+/// same record, field for field, on every instruction.
+TEST(FastPathEquivalence, DecodedStepRecordsMatchByteStepsInLockStep) {
+  for (const auto& [name, program] : lockstep_programs()) {
+    SCOPED_TRACE(name);
+    const arch::DecodedProgram decoded(program);
+    arch::ArchState fast(program, &decoded);
+    arch::ArchState bytes(program);
+    for (std::uint64_t i = 0; i < kLockstepSteps && !bytes.halted(); ++i) {
+      expect_same_step(fast.step(), bytes.step());
+      if (::testing::Test::HasFailure()) return;
+    }
+    expect_same_state(fast, bytes);
+  }
+}
+
+/// run(k) with mixed chunk sizes stops on the same instruction boundary,
+/// in the same state, as k calls to step().
+TEST(FastPathEquivalence, ChunkedRunMatchesSteppingAtEveryBoundary) {
+  constexpr std::uint64_t kChunks[] = {1, 7, 1000, 3, 64, 4096, 2, 250};
+  for (const auto& [name, program] : lockstep_programs()) {
+    SCOPED_TRACE(name);
+    const arch::DecodedProgram decoded(program);
+    arch::ArchState ran(program, &decoded);
+    arch::ArchState stepped(program, &decoded);
+    std::uint64_t total = 0;
+    for (std::size_t c = 0; total < kLockstepSteps && !ran.halted(); ++c) {
+      const std::uint64_t chunk = kChunks[c % std::size(kChunks)];
+      const std::uint64_t done = ran.run(chunk);
+      EXPECT_LE(done, chunk);
+      for (std::uint64_t i = 0; i < chunk && !stepped.halted(); ++i)
+        stepped.step();
+      total += done;
+      expect_same_state(ran, stepped);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 /// The same self-modifying program through the full pipeline: the committed
