@@ -9,13 +9,17 @@
 // gone; see harness/experiment.hpp.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "common/text_codec.hpp"
 #include "harness/experiment.hpp"
 #include "power/probe.hpp"
 #include "workloads/workloads.hpp"
@@ -34,6 +38,27 @@ inline std::vector<std::string> fp_names() {
   for (const auto& w : workloads::registry())
     if (w.is_fp) names.push_back(w.name);
   return names;
+}
+
+/// Strict numeric flag value: decimal digits that fit T or, for a double,
+/// a whole finite non-negative token. Anything else names the flag and
+/// exits 2.
+template <class T>
+T numeric_flag(const char* argv0, std::string_view flag,
+               const std::string& text) {
+  std::optional<T> v;
+  if constexpr (std::is_same_v<T, double>) {
+    v = codec::parse_double(text);
+    if (v && !(std::isfinite(*v) && *v >= 0.0)) v.reset();
+  } else {
+    v = codec::parse_unsigned<T>(text);
+  }
+  if (!v) {
+    std::fprintf(stderr, "%s: invalid value '%s' for %.*s\n", argv0,
+                 text.c_str(), static_cast<int>(flag.size()), flag.data());
+    std::exit(2);
+  }
+  return *v;
 }
 
 namespace cli {
@@ -247,8 +272,8 @@ inline Options parse(int argc, char** argv) {
     } else if (arg == "--power") {
       opts.power = true;
     } else if (matches("--irq-period")) {
-      opts.irq_period =
-          std::strtoull(value("--irq-period").c_str(), nullptr, 10);
+      opts.irq_period = numeric_flag<std::uint64_t>(
+          argv[0], "--irq-period", value("--irq-period"));
       if (opts.irq_period < 32) {
         std::fprintf(stderr,
                      "%s: --irq-period must be >= 32 (shorter periods "
@@ -259,23 +284,25 @@ inline Options parse(int argc, char** argv) {
     } else if (matches("--timeseries")) {
       opts.timeseries_path = value("--timeseries");
     } else if (matches("--stride")) {
-      opts.stride = std::strtoull(value("--stride").c_str(), nullptr, 10);
+      opts.stride =
+          numeric_flag<std::uint64_t>(argv[0], "--stride", value("--stride"));
     } else if (matches("--threads")) {
-      opts.threads = static_cast<unsigned>(
-          std::strtoul(value("--threads").c_str(), nullptr, 10));
+      opts.threads =
+          numeric_flag<unsigned>(argv[0], "--threads", value("--threads"));
     } else if (matches("--placement")) {
       opts.placement = sim::parse_placement(value("--placement"));
     } else if (matches("--target-ci")) {
-      opts.target_ci = std::strtod(value("--target-ci").c_str(), nullptr);
+      opts.target_ci =
+          numeric_flag<double>(argv[0], "--target-ci", value("--target-ci"));
     } else if (matches("--sample-period")) {
-      opts.sample_period =
-          std::strtoull(value("--sample-period").c_str(), nullptr, 10);
+      opts.sample_period = numeric_flag<std::uint64_t>(
+          argv[0], "--sample-period", value("--sample-period"));
     } else if (matches("--sample-warmup")) {
-      opts.sample_warmup =
-          std::strtoull(value("--sample-warmup").c_str(), nullptr, 10);
+      opts.sample_warmup = numeric_flag<std::uint64_t>(
+          argv[0], "--sample-warmup", value("--sample-warmup"));
     } else if (matches("--sample-detail")) {
-      opts.sample_detail =
-          std::strtoull(value("--sample-detail").c_str(), nullptr, 10);
+      opts.sample_detail = numeric_flag<std::uint64_t>(
+          argv[0], "--sample-detail", value("--sample-detail"));
     } else if (matches("--csv")) {
       opts.csv_path = value("--csv");
     } else if (matches("--json")) {
@@ -283,11 +310,11 @@ inline Options parse(int argc, char** argv) {
     } else if (matches("--cache-dir")) {
       opts.cache_dir = value("--cache-dir");
     } else if (matches("--server-timeout-ms")) {
-      opts.server_timeout_ms = static_cast<unsigned>(
-          std::strtoul(value("--server-timeout-ms").c_str(), nullptr, 10));
+      opts.server_timeout_ms = numeric_flag<unsigned>(
+          argv[0], "--server-timeout-ms", value("--server-timeout-ms"));
     } else if (matches("--server-retries")) {
-      opts.server_retries = static_cast<unsigned>(
-          std::strtoul(value("--server-retries").c_str(), nullptr, 10));
+      opts.server_retries = numeric_flag<unsigned>(
+          argv[0], "--server-retries", value("--server-retries"));
     } else if (matches("--server")) {
       opts.server = value("--server");
     } else if (matches("--policies")) {

@@ -13,10 +13,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "asmkit/assembler.hpp"
+#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "sim/sampling.hpp"
 #include "sim/simulator.hpp"
@@ -35,10 +35,12 @@ int main(int argc, char** argv) {
   using namespace erel;
 
   const unsigned sweeps =
-      argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 2400;
+      argc > 1 ? benchutil::numeric_flag<unsigned>(argv[0], "sweeps", argv[1])
+               : 2400;
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const unsigned threads =
-      argc > 2 ? static_cast<unsigned>(std::max(1, std::atoi(argv[2])))
+      argc > 2 ? std::max(1u, benchutil::numeric_flag<unsigned>(
+                                  argv[0], "threads", argv[2]))
                : std::min(hw, 8u);
   const sim::Placement placement =
       argc > 3 ? sim::parse_placement(argv[3]) : sim::Placement::kStratified;

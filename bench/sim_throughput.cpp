@@ -30,6 +30,7 @@
 
 #include "arch/arch_state.hpp"
 #include "arch/decoded_program.hpp"
+#include "bench_util.hpp"
 #include "pipeline/core.hpp"
 #include "sim/config.hpp"
 #include "workloads/workloads.hpp"
@@ -190,12 +191,14 @@ int main(int argc, char** argv) {
     } else if (arg.starts_with("--json=")) {
       json_path = value("--json");
     } else if (arg.starts_with("--func-insts=")) {
-      func_insts = std::strtoull(value("--func-insts").c_str(), nullptr, 10);
+      func_insts = erel::benchutil::numeric_flag<std::uint64_t>(
+          argv[0], "--func-insts", value("--func-insts"));
     } else if (arg.starts_with("--pipeline-insts=")) {
-      pipeline_insts =
-          std::strtoull(value("--pipeline-insts").c_str(), nullptr, 10);
+      pipeline_insts = erel::benchutil::numeric_flag<std::uint64_t>(
+          argv[0], "--pipeline-insts", value("--pipeline-insts"));
     } else if (arg.starts_with("--min-seconds=")) {
-      min_seconds = std::strtod(value("--min-seconds").c_str(), nullptr);
+      min_seconds = erel::benchutil::numeric_flag<double>(
+          argv[0], "--min-seconds", value("--min-seconds"));
     } else if (arg.starts_with("--")) {
       std::fprintf(stderr, "%s: unknown option %s\n", argv[0], argv[i]);
       usage(argv[0]);

@@ -6,15 +6,12 @@
 #include "common/log.hpp"
 #include "isa/semantics.hpp"
 
-// Threaded dispatch for the run() interpreter loop: on GCC/Clang each
-// micro-op body jumps through a computed-goto label table, giving the branch
-// predictor one indirect-branch site per *successor* op instead of a single
-// shared switch dispatch. Define EREL_NO_COMPUTED_GOTO to force the portable
-// switch loop (also the path non-GNU compilers take).
-#if !defined(EREL_NO_COMPUTED_GOTO) && (defined(__GNUC__) || defined(__clang__))
-#define EREL_COMPUTED_GOTO 1
-#else
-#define EREL_COMPUTED_GOTO 0
+// run()'s interpreter loop dispatches through a computed-goto label table
+// (labels-as-values, a GCC/Clang extension): each micro-op body ends in its
+// own indirect jump, giving the branch predictor one site per *successor*
+// op instead of a single shared switch dispatch.
+#if !defined(__GNUC__)
+#error "arch_state.cpp needs labels-as-values (computed goto): use GCC or Clang"
 #endif
 
 namespace erel::arch {
@@ -75,112 +72,123 @@ StepInfo ArchState::step() {
   }
   info.pc = pc_;
   if (decoded_ != nullptr && !code_dirty_ && decoded_->contains(pc_)) {
-    step_decoded(decoded_->at(pc_), info);
+    const MicroOp& mop = decoded_->at(pc_);
+    info.inst = mop.inst;
+    info.kind = mop.kind;
+    std::uint64_t pc = pc_;
+    switch (mop.kind) {
+#define EREL_STEP_CASE(k)                              \
+  case MicroKind::k:                                   \
+    exec<MicroKind::k, true>(mop, pc, icount_, &info); \
+    break;
+      EREL_MICRO_KINDS(EREL_STEP_CASE)
+#undef EREL_STEP_CASE
+    }
+    ++icount_;
+    pc_ = pc;
+    info.next_pc = pc;
   } else {
     step_bytes(info);
   }
   return info;
 }
 
-void ArchState::step_decoded(const MicroOp& mop, StepInfo& info) {
-  info.inst = mop.inst;
-  info.kind = mop.kind;
-  ++icount_;
+template <MicroKind K, bool kStep>
+[[gnu::always_inline]] inline bool ArchState::exec(const MicroOp& mop,
+                                                   std::uint64_t& pc,
+                                                   std::uint64_t retired,
+                                                   StepInfo* info) {
+  // has_dst is already false for integer rd==0, so x_[0] is never written.
+  const auto write_dst = [&](RegClass cls, std::uint64_t value) {
+    if constexpr (kStep) {
+      info->has_dst = mop.has_dst;
+      info->dst_class = cls;
+      info->dst_reg = mop.inst.rd;
+      info->dst_value = value;
+    }
+    if (mop.has_dst) (cls == RegClass::Int ? x_ : f_)[mop.inst.rd] = value;
+  };
 
-  const std::uint64_t a = src_value(mop.src1, mop.inst.rs1);
-  const std::uint64_t b = src_value(mop.src2, mop.inst.rs2);
-  std::uint64_t next_pc = pc_ + 4;
-
-  switch (mop.kind) {
-    case MicroKind::kIllegal:
-      info.illegal = true;
-      info.halted = true;
-      halted_ = true;
-      info.next_pc = pc_;
-      return;
-    case MicroKind::kHalt:
-      halted_ = true;
-      info.halted = true;
-      info.next_pc = pc_;
-      return;
-    case MicroKind::kIret:
-      next_pc = dev_.iret();
-      break;
-    case MicroKind::kLoad: {
-      const std::uint64_t addr = a + static_cast<std::uint64_t>(mop.simm);
-      // MMIO accesses pass the retirement boundary (icount_ was already
-      // incremented for this instruction, hence the -1).
-      std::uint64_t value = dev::Machine::is_mmio(addr)
-                                ? dev_.read(addr, mop.mem_bytes, icount_ - 1)
-                                : mem_.read(addr, mop.mem_bytes);
-      if (mop.sext32) value = static_cast<std::uint64_t>(sext(value, 32));
-      info.is_load = true;
-      info.mem_addr = addr;
-      info.mem_bytes = mop.mem_bytes;
-      info.has_dst = mop.has_dst;
-      info.dst_class = mop.dst;
-      info.dst_reg = mop.inst.rd;
-      info.dst_value = value;
-      if (mop.has_dst) {
-        if (mop.dst == RegClass::Int) set_int_reg(mop.inst.rd, value);
-        else set_fp_reg(mop.inst.rd, value);
-      }
-      break;
+  if constexpr (K == MicroKind::kAlu) {
+    write_dst(mop.dst, isa::exec_alu(mop.inst.op,
+                                     src_value(mop.src1, mop.inst.rs1),
+                                     src_value(mop.src2, mop.inst.rs2),
+                                     mop.inst.imm));
+    pc += 4;
+  } else if constexpr (K == MicroKind::kLoad) {
+    const std::uint64_t addr = src_value(mop.src1, mop.inst.rs1) +
+                               static_cast<std::uint64_t>(mop.simm);
+    // Device reads are pure and never change deliverability mid-window
+    // (the run() budget already stops at the next timer/RX deadline), so a
+    // load never ends the dispatch window.
+    std::uint64_t value = dev::Machine::is_mmio(addr)
+                              ? dev_.read(addr, mop.mem_bytes, retired)
+                              : mem_.read(addr, mop.mem_bytes);
+    if (mop.sext32) value = static_cast<std::uint64_t>(sext(value, 32));
+    if constexpr (kStep) {
+      info->is_load = true;
+      info->mem_addr = addr;
+      info->mem_bytes = mop.mem_bytes;
     }
-    case MicroKind::kStore: {
-      const std::uint64_t addr = a + static_cast<std::uint64_t>(mop.simm);
-      info.is_store = true;
-      info.mem_addr = addr;
-      info.mem_bytes = mop.mem_bytes;
-      info.store_value = b;
-      if (dev::Machine::is_mmio(addr)) {
-        dev_.write(addr, b, mop.mem_bytes, icount_ - 1);
-      } else {
-        note_store(addr, mop.mem_bytes);
-        mem_.write(addr, b, mop.mem_bytes);
-      }
-      break;
+    write_dst(mop.dst, value);
+    pc += 4;
+  } else if constexpr (K == MicroKind::kStore) {
+    const std::uint64_t addr = src_value(mop.src1, mop.inst.rs1) +
+                               static_cast<std::uint64_t>(mop.simm);
+    const std::uint64_t b = src_value(mop.src2, mop.inst.rs2);
+    if constexpr (kStep) {
+      info->is_store = true;
+      info->mem_addr = addr;
+      info->mem_bytes = mop.mem_bytes;
+      info->store_value = b;
     }
-    case MicroKind::kCondBranch:
-      if (isa::branch_taken(mop.inst.op, a, b))
-        next_pc = pc_ + static_cast<std::uint64_t>(mop.disp);
-      break;
-    case MicroKind::kDirectJump:
-      info.has_dst = mop.has_dst;
-      info.dst_class = RegClass::Int;
-      info.dst_reg = mop.inst.rd;
-      info.dst_value = pc_ + 4;
-      if (mop.has_dst) set_int_reg(mop.inst.rd, pc_ + 4);
-      next_pc = pc_ + static_cast<std::uint64_t>(mop.disp);
-      break;
-    case MicroKind::kIndirectJump: {
-      // Link value is read before the target in case rd == rs1.
-      const std::uint64_t target =
-          (a + static_cast<std::uint64_t>(mop.simm)) & ~std::uint64_t{3};
-      info.has_dst = mop.has_dst;
-      info.dst_class = RegClass::Int;
-      info.dst_reg = mop.inst.rd;
-      info.dst_value = pc_ + 4;
-      if (mop.has_dst) set_int_reg(mop.inst.rd, pc_ + 4);
-      next_pc = target;
-      break;
+    pc += 4;
+    if (dev::Machine::is_mmio(addr)) {
+      // A device write can arm timers or re-enable delivery: end the
+      // window so run() re-evaluates its deadline budget and the pending
+      // lines at this boundary.
+      dev_.write(addr, b, mop.mem_bytes, retired);
+      return false;
     }
-    case MicroKind::kAlu: {
-      const std::uint64_t value = isa::exec_alu(mop.inst.op, a, b, mop.inst.imm);
-      info.has_dst = mop.has_dst;
-      info.dst_class = mop.dst;
-      info.dst_reg = mop.inst.rd;
-      info.dst_value = value;
-      if (mop.has_dst) {
-        if (mop.dst == RegClass::Int) set_int_reg(mop.inst.rd, value);
-        else set_fp_reg(mop.inst.rd, value);
-      }
-      break;
+    note_store(addr, mop.mem_bytes);
+    mem_.write(addr, b, mop.mem_bytes);
+    // A store into the code image finishes architecturally, then ends the
+    // window so further fetches re-decode from memory.
+    return !code_dirty_;
+  } else if constexpr (K == MicroKind::kCondBranch) {
+    pc += isa::branch_taken(mop.inst.op, src_value(mop.src1, mop.inst.rs1),
+                            src_value(mop.src2, mop.inst.rs2))
+              ? static_cast<std::uint64_t>(mop.disp)
+              : 4;
+  } else if constexpr (K == MicroKind::kDirectJump) {
+    write_dst(RegClass::Int, pc + 4);
+    pc += static_cast<std::uint64_t>(mop.disp);
+  } else if constexpr (K == MicroKind::kIndirectJump) {
+    // Target read before the link write in case rd == rs1.
+    const std::uint64_t target = (src_value(mop.src1, mop.inst.rs1) +
+                                  static_cast<std::uint64_t>(mop.simm)) &
+                                 ~std::uint64_t{3};
+    write_dst(RegClass::Int, pc + 4);
+    pc = target;
+  } else if constexpr (K == MicroKind::kIret) {
+    // Returning from the handler restores the master enable: end the
+    // window so run() delivers any interrupt latched meanwhile before the
+    // resumed instruction executes.
+    pc = dev_.iret();
+    return false;
+  } else {
+    static_assert(K == MicroKind::kHalt || K == MicroKind::kIllegal);
+    // The PC stays on the HALT (or ILLEGAL) itself; the step counts. An
+    // architecturally executed ILLEGAL is a program bug: halt and flag it
+    // so tests catch runaway control flow.
+    halted_ = true;
+    if constexpr (kStep) {
+      info->halted = true;
+      info->illegal = K == MicroKind::kIllegal;
     }
+    return false;
   }
-
-  pc_ = next_pc;
-  info.next_pc = next_pc;
+  return true;
 }
 
 void ArchState::step_bytes(StepInfo& info) {
@@ -286,11 +294,9 @@ void ArchState::step_bytes(StepInfo& info) {
 }
 
 std::uint64_t ArchState::run_decoded(std::uint64_t max_steps) {
-  // Mirrors step_decoded() op for op — same evaluation order, same memory
-  // and register effects, same icount accounting (the halting step itself
-  // counts) — but with no StepInfo construction and the PC kept in a local.
-  // Destination writes go straight to x_/f_: has_dst is already false for
-  // integer rd==0, so x_[0] is never written.
+  // The PC is kept in a local and icount_ settled once on exit: while op
+  // number `executed` runs, icount_ + executed - 1 instructions have
+  // retired before it.
   const MicroOp* const ops = decoded_->ops();
   const std::uint64_t base = decoded_->code_base();
   const std::uint64_t bytes = decoded_->code_end() - base;
@@ -298,135 +304,34 @@ std::uint64_t ArchState::run_decoded(std::uint64_t max_steps) {
   std::uint64_t executed = 0;
   const MicroOp* mop = nullptr;
 
+#define EREL_LABEL_ADDR(k) &&lbl_##k,
+  static const void* const kDispatch[] = {EREL_MICRO_KINDS(EREL_LABEL_ADDR)};
+#undef EREL_LABEL_ADDR
+
   // EREL_DISPATCH fetches the next micro-op and jumps to its handler; it
   // falls out to `done` when the step budget is exhausted or the PC leaves
   // the image (wrong-path targets, returns past code_end). Entry PC
-  // alignment is the caller's contains() check; every transition below
-  // preserves it (+4, disp = imm*4, indirect targets masked to ~3).
-#if EREL_COMPUTED_GOTO
-  static const void* const kDispatch[] = {
-      &&lbl_kAlu,        &&lbl_kLoad,         &&lbl_kStore,
-      &&lbl_kCondBranch, &&lbl_kDirectJump,   &&lbl_kIndirectJump,
-      &&lbl_kHalt,       &&lbl_kIllegal,      &&lbl_kIret};
-#define EREL_CASE(k) lbl_##k:
-#define EREL_DISPATCH()                                    \
-  {                                                        \
-    if (executed == max_steps) goto done;                  \
-    const std::uint64_t off = pc - base;                   \
-    if (off >= bytes) goto done;                           \
-    mop = ops + (off >> 2);                                \
-    ++executed;                                            \
-    goto* kDispatch[static_cast<unsigned>(mop->kind)];     \
+  // alignment is the caller's contains() check; every transition preserves
+  // it (+4, disp = imm*4, indirect targets masked to ~3).
+#define EREL_DISPATCH()                                \
+  {                                                    \
+    if (executed == max_steps) goto done;              \
+    const std::uint64_t off = pc - base;               \
+    if (off >= bytes) goto done;                       \
+    mop = ops + (off >> 2);                            \
+    ++executed;                                        \
+    goto* kDispatch[static_cast<unsigned>(mop->kind)]; \
   }
+#define EREL_HANDLER(k)                                                  \
+  lbl_##k:                                                               \
+  if (!exec<MicroKind::k, false>(*mop, pc, icount_ + executed - 1,       \
+                                 nullptr))                               \
+    goto done;                                                           \
   EREL_DISPATCH()
-#else
-#define EREL_CASE(k) case MicroKind::k:
-#define EREL_DISPATCH() \
-  { continue; }
-  for (;;) {
-    if (executed == max_steps) break;
-    const std::uint64_t off = pc - base;
-    if (off >= bytes) break;
-    mop = ops + (off >> 2);
-    ++executed;
-    switch (mop->kind) {
-#endif
 
-      EREL_CASE(kAlu) {
-        const std::uint64_t a = src_value(mop->src1, mop->inst.rs1);
-        const std::uint64_t b = src_value(mop->src2, mop->inst.rs2);
-        const std::uint64_t value =
-            isa::exec_alu(mop->inst.op, a, b, mop->inst.imm);
-        if (mop->has_dst) {
-          if (mop->dst == RegClass::Int) x_[mop->inst.rd] = value;
-          else f_[mop->inst.rd] = value;
-        }
-        pc += 4;
-        EREL_DISPATCH()
-      }
-      EREL_CASE(kLoad) {
-        const std::uint64_t addr = src_value(mop->src1, mop->inst.rs1) +
-                                   static_cast<std::uint64_t>(mop->simm);
-        // Device reads are pure and never change deliverability mid-window
-        // (the run() budget already stops at the next timer/RX deadline),
-        // so the dispatch loop continues inline. The boundary is the count
-        // of instructions retired before this one.
-        std::uint64_t value =
-            dev::Machine::is_mmio(addr)
-                ? dev_.read(addr, mop->mem_bytes, icount_ + executed - 1)
-                : mem_.read(addr, mop->mem_bytes);
-        if (mop->sext32) value = static_cast<std::uint64_t>(sext(value, 32));
-        if (mop->has_dst) {
-          if (mop->dst == RegClass::Int) x_[mop->inst.rd] = value;
-          else f_[mop->inst.rd] = value;
-        }
-        pc += 4;
-        EREL_DISPATCH()
-      }
-      EREL_CASE(kStore) {
-        const std::uint64_t addr = src_value(mop->src1, mop->inst.rs1) +
-                                   static_cast<std::uint64_t>(mop->simm);
-        const std::uint64_t b = src_value(mop->src2, mop->inst.rs2);
-        if (dev::Machine::is_mmio(addr)) {
-          // A device write can arm timers or re-enable delivery: hand
-          // control back so run() re-evaluates its deadline budget and the
-          // pending lines at this boundary.
-          dev_.write(addr, b, mop->mem_bytes, icount_ + executed - 1);
-          pc += 4;
-          goto done;
-        }
-        note_store(addr, mop->mem_bytes);
-        mem_.write(addr, b, mop->mem_bytes);
-        pc += 4;
-        // A store into the code image finishes architecturally, then hands
-        // control back so further fetches re-decode from memory.
-        if (code_dirty_) goto done;
-        EREL_DISPATCH()
-      }
-      EREL_CASE(kCondBranch) {
-        const std::uint64_t a = src_value(mop->src1, mop->inst.rs1);
-        const std::uint64_t b = src_value(mop->src2, mop->inst.rs2);
-        pc += isa::branch_taken(mop->inst.op, a, b)
-                  ? static_cast<std::uint64_t>(mop->disp)
-                  : 4;
-        EREL_DISPATCH()
-      }
-      EREL_CASE(kDirectJump) {
-        if (mop->has_dst) x_[mop->inst.rd] = pc + 4;
-        pc += static_cast<std::uint64_t>(mop->disp);
-        EREL_DISPATCH()
-      }
-      EREL_CASE(kIndirectJump) {
-        // Target read before the link write in case rd == rs1.
-        const std::uint64_t target =
-            (src_value(mop->src1, mop->inst.rs1) +
-             static_cast<std::uint64_t>(mop->simm)) &
-            ~std::uint64_t{3};
-        if (mop->has_dst) x_[mop->inst.rd] = pc + 4;
-        pc = target;
-        EREL_DISPATCH()
-      }
-      EREL_CASE(kHalt) {
-        halted_ = true;  // PC frozen on the HALT itself; the step counts
-        goto done;
-      }
-      EREL_CASE(kIllegal) {
-        halted_ = true;
-        goto done;
-      }
-      EREL_CASE(kIret) {
-        // Returning from the handler restores the master enable: hand
-        // control back so run() delivers any interrupt latched meanwhile
-        // before the resumed instruction executes.
-        pc = dev_.iret();
-        goto done;
-      }
-
-#if !EREL_COMPUTED_GOTO
-    }
-  }
-#endif
-#undef EREL_CASE
+  EREL_DISPATCH()
+  EREL_MICRO_KINDS(EREL_HANDLER)
+#undef EREL_HANDLER
 #undef EREL_DISPATCH
 
 done:

@@ -5,11 +5,14 @@
 // standalone to validate workload checksums and to count dynamic
 // instructions (Table 3 reproduction).
 //
-// Fast path: when constructed with a DecodedProgram, step() executes from
-// the pre-decoded micro-op array (one enum dispatch, no byte fetch or
-// re-decode) whenever the PC is inside the cached code image; any store
-// into the image flips it back to the byte-accurate path permanently, so
-// results are bit-identical with or without the cache.
+// Fast path: when constructed with a DecodedProgram, step() and run()
+// execute from the pre-decoded micro-op array (no byte fetch or re-decode)
+// whenever the PC is inside the cached code image. Both go through one
+// per-kind body, exec<K>: step() reaches it through a switch and fills the
+// StepInfo, run() through a threaded-dispatch label table and fills
+// nothing. Any store into the image flips the machine back to the
+// byte-accurate path (step_bytes) permanently, so results are bit-identical
+// with or without the cache.
 #pragma once
 
 #include <array>
@@ -60,11 +63,10 @@ class ArchState {
   /// Runs until HALT or `max_steps`; returns executed instruction count.
   ///
   /// While the PC stays inside a clean decoded image this executes a
-  /// threaded-dispatch interpreter loop over the packed MicroOp array
-  /// (computed goto on GCC/Clang, a switch loop when EREL_NO_COMPUTED_GOTO
-  /// is defined) with no per-step StepInfo construction; out-of-image PCs,
-  /// self-modifying stores and the byte-accurate configuration fall back to
-  /// step(). Architectural results are bit-identical either way.
+  /// computed-goto interpreter loop over the packed MicroOp array with no
+  /// per-step StepInfo construction; out-of-image PCs, self-modifying
+  /// stores and the byte-accurate configuration fall back to step().
+  /// Architectural results are bit-identical either way.
   std::uint64_t run(std::uint64_t max_steps = ~0ull);
 
   [[nodiscard]] bool halted() const { return halted_; }
@@ -116,9 +118,15 @@ class ArchState {
   /// or `max_steps`; returns the number of instructions executed (>= 1).
   std::uint64_t run_decoded(std::uint64_t max_steps);
 
-  /// Executes one instruction from the pre-decoded record (pc_ verified to
-  /// be inside the decoded image by the caller).
-  void step_decoded(const MicroOp& mop, StepInfo& info);
+  /// The one decoded body: executes `mop` (of kind K) at `pc`, updating
+  /// registers, memory, the device and `pc`. `retired` counts the
+  /// instructions retired before this one (the MMIO boundary). With kStep
+  /// the step record `info` is filled too. Returns false when the
+  /// instruction ends a dispatch window: HALT, ILLEGAL, IRET, an MMIO store
+  /// or a store into the code image.
+  template <MicroKind K, bool kStep>
+  bool exec(const MicroOp& mop, std::uint64_t& pc, std::uint64_t retired,
+            StepInfo* info);
 
   /// Byte-accurate path: fetches and decodes from memory (original engine).
   void step_bytes(StepInfo& info);

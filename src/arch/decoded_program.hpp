@@ -28,18 +28,26 @@
 
 namespace erel::arch {
 
+/// Every MicroKind, in enum order. Executors expand this list into their
+/// dispatch tables (ArchState's label table and switch), so a table can
+/// never drift from the enum.
+#define EREL_MICRO_KINDS(X)                                              \
+  X(kAlu)          /* plain integer/FP computation (exec_alu) */         \
+  X(kLoad)         /* memory read into rd */                             \
+  X(kStore)        /* memory write of rs2 */                             \
+  X(kCondBranch)   /* BEQ..BGEU */                                       \
+  X(kDirectJump)   /* JAL */                                             \
+  X(kIndirectJump) /* JALR */                                            \
+  X(kHalt)                                                               \
+  X(kIllegal)                                                            \
+  X(kIret)         /* interrupt return (redirects to the device EPC) */
+
 /// Dispatch class of one micro-op: everything an executor switches on. The
 /// flag-mask queries of isa::OpInfo collapse to this single enum.
 enum class MicroKind : std::uint8_t {
-  kAlu,           // plain integer/FP computation (exec_alu)
-  kLoad,          // memory read into rd
-  kStore,         // memory write of rs2
-  kCondBranch,    // BEQ..BGEU
-  kDirectJump,    // JAL
-  kIndirectJump,  // JALR
-  kHalt,
-  kIllegal,
-  kIret,          // interrupt return (redirects to the device EPC)
+#define EREL_MICRO_KIND_ENUMERATOR(k) k,
+  EREL_MICRO_KINDS(EREL_MICRO_KIND_ENUMERATOR)
+#undef EREL_MICRO_KIND_ENUMERATOR
 };
 
 /// One pre-decoded instruction. `inst` is the exact isa::decode() result

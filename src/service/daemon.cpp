@@ -163,7 +163,10 @@ void ExperimentDaemon::handle_run_cell(std::uint64_t client,
                                        const net::Frame& frame) {
   std::optional<CellRequest> request = decode_cell_request(frame.payload);
   if (!request) {
-    send_error(client, 0, "malformed cell request");
+    // Id 0 is connection-level (it fails every pending call); use it only
+    // when the request's own id is unreadable.
+    send_error(client, cell_request_id(frame.payload).value_or(0),
+               "malformed cell request");
     return;
   }
   for (const std::string& name : request->probe_names) {

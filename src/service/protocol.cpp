@@ -127,6 +127,16 @@ std::string encode_cell_request(const CellRequest& request) {
   return out;
 }
 
+std::optional<std::uint64_t> cell_request_id(std::string_view payload) {
+  codec::LineScanner lines(payload);
+  std::string_view line;
+  if (!lines.next(line) || line != "erel-cell v1" || !lines.next(line))
+    return std::nullopt;
+  const codec::Field field = codec::split_field(line, ' ');
+  if (field.name != "id") return std::nullopt;
+  return codec::parse_u64(field.value);
+}
+
 std::optional<CellRequest> decode_cell_request(std::string_view payload) {
   codec::LineScanner lines(payload);
   std::string_view line;

@@ -89,6 +89,10 @@ struct CellRequest {
 
 std::string encode_cell_request(const CellRequest& request);
 std::optional<CellRequest> decode_cell_request(std::string_view payload);
+/// The `id` of a kRunCell payload that may not decode as a whole: the
+/// first line after the magic, when it parses. Lets the daemon address its
+/// refusal to that request instead of the whole connection.
+std::optional<std::uint64_t> cell_request_id(std::string_view payload);
 
 /// kResult: `entry_text` is a complete `.erelres` cache entry; the client
 /// re-validates it with parse_entry against its own fingerprint and key.

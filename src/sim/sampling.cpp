@@ -144,6 +144,12 @@ void sampling_canonical_fields(Sampling& sampling, Fn&& f) {
   f("sampling.target_ci", sampling.target_ci, codec::kHexfloat);
 }
 
+/// period > warmup + detail, without the wrapping sum (warmup = 2^64-1,
+/// detail = 2 would otherwise pass as 1).
+bool window_fits(const SamplingConfig& s) {
+  return s.warmup < s.period && s.detail < s.period - s.warmup;
+}
+
 }  // namespace
 
 void append_canonical_fields(const SamplingConfig& sampling, std::string& out) {
@@ -158,8 +164,7 @@ std::optional<SamplingConfig> sampling_from_canonical_fields(
   if (!reader.ok()) return std::nullopt;
   // The SampledSimulator constructor EREL_CHECKs these; validate here so a
   // malformed request is an error reply, not a daemon abort.
-  if (s.detail == 0 || s.period <= s.warmup + s.detail ||
-      !(s.target_ci >= 0.0))
+  if (s.detail == 0 || !window_fits(s) || !(s.target_ci >= 0.0))
     return std::nullopt;
   return s;
 }
@@ -167,10 +172,9 @@ std::optional<SamplingConfig> sampling_from_canonical_fields(
 SampledSimulator::SampledSimulator(SimConfig config, SamplingConfig sampling)
     : config_(std::move(config)), sampling_(sampling) {
   EREL_CHECK(sampling_.detail > 0, "sampling window must measure something");
-  EREL_CHECK(sampling_.period > sampling_.warmup + sampling_.detail,
-             "sampling period ", sampling_.period,
-             " must exceed warmup+detail ",
-             sampling_.warmup + sampling_.detail);
+  EREL_CHECK(window_fits(sampling_), "sampling period ", sampling_.period,
+             " must exceed warmup ", sampling_.warmup, " + detail ",
+             sampling_.detail);
   EREL_CHECK(sampling_.target_ci >= 0.0, "target_ci must be non-negative");
 }
 

@@ -271,6 +271,25 @@ TEST(Protocol, CellRequestRejectsATargetCiTheSamplerWouldAbortOn) {
   }
 }
 
+TEST(Protocol, CellRequestRejectsASamplingWindowWhoseSumWraps) {
+  // warmup + detail wraps to 1 < period; the window still does not fit.
+  service::CellRequest request = sample_request();
+  request.sampling = sim::SamplingConfig{};
+  std::string text = service::encode_cell_request(request);
+  const auto set = [&text](const std::string& name, const std::string& value) {
+    const std::size_t pos = text.find(name + "=");
+    ASSERT_NE(pos, std::string::npos) << name;
+    const std::size_t eol = text.find('\n', pos);
+    text.replace(pos, eol - pos, name + "=" + value);
+  };
+  set("sampling.period", "100");
+  set("sampling.warmup", "50");
+  set("sampling.detail", "2");
+  ASSERT_TRUE(service::decode_cell_request(text));
+  set("sampling.warmup", "18446744073709551615");
+  EXPECT_FALSE(service::decode_cell_request(text));
+}
+
 TEST(Protocol, ResultAndErrorRoundTrip) {
   const service::ResultMsg msg{23, true, "erel-result v1\n...entry...\nend\n"};
   const auto out = service::decode_result(service::encode_result(msg));

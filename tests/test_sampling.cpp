@@ -361,5 +361,13 @@ TEST(SamplingDeathTest, PeriodMustExceedWindow) {
   EXPECT_DEATH(sim::SampledSimulator(test_config(), s), "period");
 }
 
+TEST(SamplingDeathTest, WindowSumMustNotWrapPastThePeriod) {
+  sim::SamplingConfig s;
+  s.period = 100;
+  s.warmup = ~std::uint64_t{0};
+  s.detail = 2;  // warmup + detail wraps to 1
+  EXPECT_DEATH(sim::SampledSimulator(test_config(), s), "period");
+}
+
 }  // namespace
 }  // namespace erel

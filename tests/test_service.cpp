@@ -317,24 +317,23 @@ TEST(Service, DaemonRefusesAnInvalidTargetCiAndKeepsServing) {
   request.sampling = sampling;
   request.fingerprint_hex =
       harness::fingerprint_cell("li", request.config, sampling, {}).hex();
-  {
-    service::RemoteClient client;
-    ASSERT_TRUE(client.connect(fixture.endpoint())) << client.error();
-    ASSERT_TRUE(client.send_cell(request));
-    std::string why;
-    EXPECT_FALSE(client.await(11, &why).has_value());
-    EXPECT_NE(why.find("malformed cell request"), std::string::npos) << why;
-  }
-
-  // The daemon survived: a fresh connection gets a good cell served.
   service::RemoteClient client;
   ASSERT_TRUE(client.connect(fixture.endpoint())) << client.error();
+  ASSERT_TRUE(client.send_cell(request));
+
+  // A good cell pending on the same connection: the refusal of 11 is
+  // addressed to 11 alone, so 12 is still served.
   request.id = 12;
   request.sampling.reset();
   request.fingerprint_hex =
       harness::fingerprint_cell("li", request.config, std::nullopt, {}).hex();
   ASSERT_TRUE(client.send_cell(request));
+
   std::string why;
+  EXPECT_FALSE(client.await(11, &why).has_value());
+  EXPECT_NE(why.find("malformed cell request"), std::string::npos) << why;
+  EXPECT_EQ(client.last_status(), service::CallStatus::kRefused);
+  why.clear();
   EXPECT_TRUE(client.await(12, &why).has_value()) << why;
   const service::DaemonStats stats = fixture.daemon->stats();
   EXPECT_EQ(stats.errors, 1u);
