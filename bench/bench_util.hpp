@@ -9,17 +9,14 @@
 // gone; see harness/experiment.hpp.
 #pragma once
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <type_traits>
 #include <vector>
 
-#include "common/text_codec.hpp"
+#include "cli_flags.hpp"
 #include "harness/experiment.hpp"
 #include "power/probe.hpp"
 #include "workloads/workloads.hpp"
@@ -38,27 +35,6 @@ inline std::vector<std::string> fp_names() {
   for (const auto& w : workloads::registry())
     if (w.is_fp) names.push_back(w.name);
   return names;
-}
-
-/// Strict numeric flag value: decimal digits that fit T or, for a double,
-/// a whole finite non-negative token. Anything else names the flag and
-/// exits 2.
-template <class T>
-T numeric_flag(const char* argv0, std::string_view flag,
-               const std::string& text) {
-  std::optional<T> v;
-  if constexpr (std::is_same_v<T, double>) {
-    v = codec::parse_double(text);
-    if (v && !(std::isfinite(*v) && *v >= 0.0)) v.reset();
-  } else {
-    v = codec::parse_unsigned<T>(text);
-  }
-  if (!v) {
-    std::fprintf(stderr, "%s: invalid value '%s' for %.*s\n", argv0,
-                 text.c_str(), static_cast<int>(flag.size()), flag.data());
-    std::exit(2);
-  }
-  return *v;
 }
 
 namespace cli {
@@ -241,39 +217,24 @@ inline void list_policies() {
 inline Options parse(int argc, char** argv) {
   Options opts;
   for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    const auto value = [&](std::string_view flag) -> std::string {
-      // "--flag=value" or "--flag value".
-      if (arg.size() > flag.size() && arg[flag.size()] == '=')
-        return std::string(arg.substr(flag.size() + 1));
-      if (i + 1 < argc) return argv[++i];
-      std::fprintf(stderr, "%s: missing value for %.*s\n", argv[0],
-                   static_cast<int>(flag.size()), flag.data());
-      std::exit(2);
-    };
-    const auto matches = [&](std::string_view flag) {
-      return arg == flag ||
-             (arg.size() > flag.size() && arg.substr(0, flag.size()) == flag &&
-              arg[flag.size()] == '=');
-    };
-    if (arg == "--help" || arg == "-h") {
+    flags::Arg arg(argc, argv, i);
+    if (arg.text() == "--help" || arg.text() == "-h") {
       usage(argv[0]);
       std::exit(0);
-    } else if (arg == "--list-workloads") {
+    } else if (arg.text() == "--list-workloads") {
       list_workloads();
       std::exit(0);
-    } else if (arg == "--list-policies") {
+    } else if (arg.text() == "--list-policies") {
       list_policies();
       std::exit(0);
-    } else if (arg == "--sample") {
+    } else if (arg.text() == "--sample") {
       opts.sample = true;
-    } else if (arg == "--smoke") {
+    } else if (arg.text() == "--smoke") {
       opts.smoke = true;
-    } else if (arg == "--power") {
+    } else if (arg.text() == "--power") {
       opts.power = true;
-    } else if (matches("--irq-period")) {
-      opts.irq_period = numeric_flag<std::uint64_t>(
-          argv[0], "--irq-period", value("--irq-period"));
+    } else if (arg.is("--irq-period")) {
+      arg.number(opts.irq_period);
       if (opts.irq_period < 32) {
         std::fprintf(stderr,
                      "%s: --irq-period must be >= 32 (shorter periods "
@@ -281,45 +242,37 @@ inline Options parse(int argc, char** argv) {
                      argv[0]);
         std::exit(2);
       }
-    } else if (matches("--timeseries")) {
-      opts.timeseries_path = value("--timeseries");
-    } else if (matches("--stride")) {
-      opts.stride =
-          numeric_flag<std::uint64_t>(argv[0], "--stride", value("--stride"));
-    } else if (matches("--threads")) {
-      opts.threads =
-          numeric_flag<unsigned>(argv[0], "--threads", value("--threads"));
-    } else if (matches("--placement")) {
-      opts.placement = sim::parse_placement(value("--placement"));
-    } else if (matches("--target-ci")) {
-      opts.target_ci =
-          numeric_flag<double>(argv[0], "--target-ci", value("--target-ci"));
-    } else if (matches("--sample-period")) {
-      opts.sample_period = numeric_flag<std::uint64_t>(
-          argv[0], "--sample-period", value("--sample-period"));
-    } else if (matches("--sample-warmup")) {
-      opts.sample_warmup = numeric_flag<std::uint64_t>(
-          argv[0], "--sample-warmup", value("--sample-warmup"));
-    } else if (matches("--sample-detail")) {
-      opts.sample_detail = numeric_flag<std::uint64_t>(
-          argv[0], "--sample-detail", value("--sample-detail"));
-    } else if (matches("--csv")) {
-      opts.csv_path = value("--csv");
-    } else if (matches("--json")) {
-      opts.json_path = value("--json");
-    } else if (matches("--cache-dir")) {
-      opts.cache_dir = value("--cache-dir");
-    } else if (matches("--server-timeout-ms")) {
-      opts.server_timeout_ms = numeric_flag<unsigned>(
-          argv[0], "--server-timeout-ms", value("--server-timeout-ms"));
-    } else if (matches("--server-retries")) {
-      opts.server_retries = numeric_flag<unsigned>(
-          argv[0], "--server-retries", value("--server-retries"));
-    } else if (matches("--server")) {
-      opts.server = value("--server");
-    } else if (matches("--policies")) {
+    } else if (arg.is("--timeseries")) {
+      opts.timeseries_path = arg.value();
+    } else if (arg.is("--stride")) {
+      arg.number(opts.stride);
+    } else if (arg.is("--threads")) {
+      arg.number(opts.threads);
+    } else if (arg.is("--placement")) {
+      opts.placement = sim::parse_placement(arg.value());
+    } else if (arg.is("--target-ci")) {
+      arg.number(opts.target_ci);
+    } else if (arg.is("--sample-period")) {
+      arg.number(opts.sample_period);
+    } else if (arg.is("--sample-warmup")) {
+      arg.number(opts.sample_warmup);
+    } else if (arg.is("--sample-detail")) {
+      arg.number(opts.sample_detail);
+    } else if (arg.is("--csv")) {
+      opts.csv_path = arg.value();
+    } else if (arg.is("--json")) {
+      opts.json_path = arg.value();
+    } else if (arg.is("--cache-dir")) {
+      opts.cache_dir = arg.value();
+    } else if (arg.is("--server-timeout-ms")) {
+      arg.number(opts.server_timeout_ms);
+    } else if (arg.is("--server-retries")) {
+      arg.number(opts.server_retries);
+    } else if (arg.is("--server")) {
+      opts.server = arg.value();
+    } else if (arg.is("--policies")) {
       opts.policies.clear();
-      std::string list = value("--policies");
+      std::string list = arg.value();
       std::size_t start = 0;
       while (start <= list.size()) {
         std::size_t comma = list.find(',', start);
@@ -344,12 +297,12 @@ inline Options parse(int argc, char** argv) {
                      argv[0]);
         std::exit(2);
       }
-    } else if (arg.size() >= 2 && arg.substr(0, 2) == "--") {
+    } else if (arg.text().starts_with("--")) {
       std::fprintf(stderr, "%s: unknown option %s\n", argv[0], argv[i]);
       usage(argv[0]);
       std::exit(2);
     } else {
-      opts.positional.push_back(std::string(arg));
+      opts.positional.push_back(std::string(arg.text()));
     }
   }
   // Validate workload selections up front: a typo should produce a usage

@@ -16,7 +16,7 @@
 #include <thread>
 
 #include "asmkit/assembler.hpp"
-#include "bench_util.hpp"
+#include "cli_flags.hpp"
 #include "common/table.hpp"
 #include "sim/sampling.hpp"
 #include "sim/simulator.hpp"
@@ -35,11 +35,11 @@ int main(int argc, char** argv) {
   using namespace erel;
 
   const unsigned sweeps =
-      argc > 1 ? benchutil::numeric_flag<unsigned>(argv[0], "sweeps", argv[1])
+      argc > 1 ? flags::parse_number<unsigned>(argv[0], "sweeps", argv[1])
                : 2400;
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const unsigned threads =
-      argc > 2 ? std::max(1u, benchutil::numeric_flag<unsigned>(
+      argc > 2 ? std::max(1u, flags::parse_number<unsigned>(
                                   argv[0], "threads", argv[2]))
                : std::min(hw, 8u);
   const sim::Placement placement =

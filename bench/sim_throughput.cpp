@@ -25,12 +25,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "arch/arch_state.hpp"
 #include "arch/decoded_program.hpp"
-#include "bench_util.hpp"
+#include "cli_flags.hpp"
 #include "pipeline/core.hpp"
 #include "sim/config.hpp"
 #include "workloads/workloads.hpp"
@@ -179,32 +178,26 @@ int main(int argc, char** argv) {
   double min_seconds = -1.0;           // <0 = mode default
   std::vector<std::string> names;
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const auto value = [&arg](std::string_view flag) {
-      return std::string(arg.substr(flag.size() + 1));
-    };
-    if (arg == "--help" || arg == "-h") {
+    erel::flags::Arg arg(argc, argv, i);
+    if (arg.text() == "--help" || arg.text() == "-h") {
       usage(argv[0]);
       return 0;
-    } else if (arg == "--smoke") {
+    } else if (arg.text() == "--smoke") {
       smoke = true;
-    } else if (arg.starts_with("--json=")) {
-      json_path = value("--json");
-    } else if (arg.starts_with("--func-insts=")) {
-      func_insts = erel::benchutil::numeric_flag<std::uint64_t>(
-          argv[0], "--func-insts", value("--func-insts"));
-    } else if (arg.starts_with("--pipeline-insts=")) {
-      pipeline_insts = erel::benchutil::numeric_flag<std::uint64_t>(
-          argv[0], "--pipeline-insts", value("--pipeline-insts"));
-    } else if (arg.starts_with("--min-seconds=")) {
-      min_seconds = erel::benchutil::numeric_flag<double>(
-          argv[0], "--min-seconds", value("--min-seconds"));
-    } else if (arg.starts_with("--")) {
+    } else if (arg.is("--json")) {
+      json_path = arg.value();
+    } else if (arg.is("--func-insts")) {
+      arg.number(func_insts);
+    } else if (arg.is("--pipeline-insts")) {
+      arg.number(pipeline_insts);
+    } else if (arg.is("--min-seconds")) {
+      arg.number(min_seconds);
+    } else if (arg.text().starts_with("--")) {
       std::fprintf(stderr, "%s: unknown option %s\n", argv[0], argv[i]);
       usage(argv[0]);
       return 2;
     } else {
-      names.emplace_back(arg);
+      names.emplace_back(arg.text());
     }
   }
   for (const std::string& name : names) {

@@ -34,10 +34,6 @@ class SourceOnlyBasic final : public core::ReleasePolicy {
  public:
   using ReleasePolicy::ReleasePolicy;
 
-  [[nodiscard]] core::PolicyKind kind() const override {
-    return core::PolicyKind::Basic;  // reported kind; behaviour is ablated
-  }
-
   void record_src_use(unsigned logical, InstSeq seq, UseKind kind) override {
     rf_.lus.record_use(logical, seq, kind);
   }

@@ -90,10 +90,6 @@ class ConventionalPolicy final : public ReleasePolicy {
  public:
   using ReleasePolicy::ReleasePolicy;
 
-  [[nodiscard]] PolicyKind kind() const override {
-    return PolicyKind::Conventional;
-  }
-
   DestPlan plan_dest(unsigned rd, InstSeq, RenameRec& rec,
                      std::uint64_t) override {
     const Mapping& old = rf_.map.get(rd);
@@ -125,8 +121,6 @@ class ConventionalPolicy final : public ReleasePolicy {
 class BasicPolicy : public ReleasePolicy {
  public:
   using ReleasePolicy::ReleasePolicy;
-
-  [[nodiscard]] PolicyKind kind() const override { return PolicyKind::Basic; }
 
   void record_src_use(unsigned logical, InstSeq seq, UseKind kind) override {
     rf_.lus.record_use(logical, seq, kind);
@@ -231,10 +225,6 @@ class ExtendedPolicy final : public BasicPolicy {
  public:
   ExtendedPolicy(RegFileState& rf, PipelineHooks& hooks, unsigned max_levels)
       : BasicPolicy(rf, hooks), relque_(max_levels) {}
-
-  [[nodiscard]] PolicyKind kind() const override {
-    return PolicyKind::Extended;
-  }
 
   [[nodiscard]] bool can_rename_dest(unsigned rd, InstSeq nv_seq,
                                      bool self_src_use) const override {

@@ -98,11 +98,6 @@ class PipelineHooks {
   /// This is the basic mechanism's Case-1 test (paper §3).
   virtual bool branch_pending_between(InstSeq lo, InstSeq hi) const = 0;
 
-  /// Sequence number of the newest unverified branch (kNoSeq if none). The
-  /// extended mechanism schedules conditional releases under this level
-  /// (paper §4.2, Step 2: "the RelQue level pointed by TAIL").
-  virtual InstSeq newest_pending_branch() const = 0;
-
   /// Number of unverified branches currently in flight.
   virtual unsigned pending_branch_count() const = 0;
 

@@ -35,12 +35,6 @@ Socket& Socket::operator=(Socket&& other) noexcept {
   return *this;
 }
 
-int Socket::release() {
-  const int fd = fd_;
-  fd_ = -1;
-  return fd;
-}
-
 void Socket::close_fd() {
   if (fd_ >= 0) {
     ::close(fd_);
@@ -49,13 +43,6 @@ void Socket::close_fd() {
 }
 
 namespace {
-
-timeval ms_to_timeval(unsigned ms) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
-  return tv;
-}
 
 /// Milliseconds left until `deadline` on the steady clock, clamped at 0.
 int remaining_ms(std::chrono::steady_clock::time_point deadline) {
@@ -67,18 +54,6 @@ int remaining_ms(std::chrono::steady_clock::time_point deadline) {
 }
 
 }  // namespace
-
-bool Socket::set_recv_timeout_ms(unsigned ms) {
-  const timeval tv = ms_to_timeval(ms);
-  return fd_ >= 0 &&
-         ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv) == 0;
-}
-
-bool Socket::set_send_timeout_ms(unsigned ms) {
-  const timeval tv = ms_to_timeval(ms);
-  return fd_ >= 0 &&
-         ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv) == 0;
-}
 
 Socket::IoStatus Socket::recv_some(std::string& out, int timeout_ms) {
   if (fd_ < 0) return IoStatus::kError;

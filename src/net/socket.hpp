@@ -27,17 +27,7 @@ class Socket {
   [[nodiscard]] bool valid() const { return fd_ >= 0; }
   [[nodiscard]] int fd() const { return fd_; }
 
-  /// Releases ownership without closing.
-  int release();
   void close_fd();
-
-  // ---- deadlines ----
-
-  /// Kernel-level IO timeouts (SO_RCVTIMEO / SO_SNDTIMEO): a blocking
-  /// send/recv that makes no progress for `ms` milliseconds fails with
-  /// EAGAIN instead of hanging forever. 0 restores fully-blocking IO.
-  bool set_recv_timeout_ms(unsigned ms);
-  bool set_send_timeout_ms(unsigned ms);
 
   /// One poll()-bounded read: waits up to `timeout_ms` for readability,
   /// then appends whatever one recv() returns to `out`.

@@ -44,10 +44,10 @@ class Core final : public core::PipelineHooks {
  public:
   Core(const sim::SimConfig& config, const arch::Program& program);
 
-  /// As above, with a pre-built decode-once program cache shared across
-  /// cores (sampled simulation builds one per run instead of one per
-  /// measurement window). Ignored when config.fast_path is off; when
-  /// fast_path is on and `decoded` is null, the core builds its own.
+  /// As above, with a decode-once cache of `program` shared across cores
+  /// (sampled simulation builds one per run instead of one per measurement
+  /// window). Ignored when config.fast_path is off; when fast_path is on and
+  /// `decoded` is null, the core builds its own.
   Core(const sim::SimConfig& config, const arch::Program& program,
        std::shared_ptr<const arch::DecodedProgram> decoded);
 
@@ -60,11 +60,11 @@ class Core final : public core::PipelineHooks {
   /// warmed sim::WarmState (cache stats are reset so the measured window
   /// counts only its own accesses).
   ///
-  /// Passing a non-null `decoded` vouches that the checkpoint's code image
-  /// matches it. With `decoded` null (and fast_path on) the core builds its
-  /// own cache and validates the restored image against the program first,
-  /// falling back to byte-accurate execution when a self-modified
-  /// checkpoint would make the cache stale.
+  /// `decoded` is an optional shared decode cache of `program`, as above
+  /// (null with fast_path on: the core builds its own). Either way the core
+  /// checks the restored code image against the program and falls back to
+  /// byte-accurate execution when a self-modified checkpoint would make the
+  /// cache stale, so the caller need not know what the checkpoint holds.
   Core(const sim::SimConfig& config, const arch::Program& program,
        const arch::Checkpoint& checkpoint,
        const sim::WarmState* warm = nullptr,
@@ -121,7 +121,6 @@ class Core final : public core::PipelineHooks {
   core::RenameRec* find_inflight(core::InstSeq seq) override;
   bool branch_pending_between(core::InstSeq lo,
                               core::InstSeq hi) const override;
-  core::InstSeq newest_pending_branch() const override;
   unsigned pending_branch_count() const override;
   void on_reg_alloc(core::RC cls, core::PhysReg p, std::uint64_t cycle,
                     bool reused) override;

@@ -25,18 +25,6 @@ int remaining_ms(std::chrono::steady_clock::time_point deadline) {
 
 }  // namespace
 
-std::string_view call_status_name(CallStatus status) {
-  switch (status) {
-    case CallStatus::kOk: return "ok";
-    case CallStatus::kRefused: return "refused";
-    case CallStatus::kBusy: return "busy";
-    case CallStatus::kTimeout: return "timeout";
-    case CallStatus::kDisconnected: return "disconnected";
-    case CallStatus::kProtocolError: return "protocol_error";
-  }
-  return "?";
-}
-
 // ---- connection management ----------------------------------------------
 
 bool RemoteClient::connect_once() {
@@ -128,10 +116,7 @@ bool RemoteClient::revive() {
       // The old connection's cancel acks died with it; the new daemon-side
       // state has no memory of them.
       discard_ids_.clear();
-      if (resubmit_state()) {
-        ++reconnects_;
-        return true;
-      }
+      if (resubmit_state()) return true;
       continue;  // torn again mid-resubmit: next attempt
     }
     if (fatal_) return false;
@@ -204,14 +189,6 @@ void RemoteClient::cancel(std::uint64_t id) {
       discard_ids_.erase(id);
     }
   }
-}
-
-void RemoteClient::forget(std::uint64_t id) {
-  pending_.erase(id);
-  results_.erase(id);
-  errors_.erase(id);
-  busies_.erase(id);
-  discard_ids_.erase(id);
 }
 
 void RemoteClient::reset_connection() {

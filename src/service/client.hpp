@@ -62,8 +62,6 @@ enum class CallStatus {
   kProtocolError,  // peer broke the protocol: connection closed
 };
 
-std::string_view call_status_name(CallStatus status);
-
 class RemoteClient {
  public:
   RemoteClient() = default;
@@ -82,8 +80,6 @@ class RemoteClient {
   [[nodiscard]] std::uint64_t last_busy_retry_ms() const {
     return last_busy_retry_ms_;
   }
-  /// Successful transparent reconnects performed so far (test observability).
-  [[nodiscard]] std::uint64_t reconnects() const { return reconnects_; }
 
   /// kUpdate frames are delivered here as they interleave with awaited
   /// responses (they carry no request id; they are push traffic).
@@ -93,7 +89,7 @@ class RemoteClient {
 
   /// Pipelined send; the response is read by await(). The request is held
   /// for transparent resubmission until its response arrives (or the id is
-  /// cancelled/forgotten). Ids must be unique per client lifetime.
+  /// cancelled). Ids must be unique per client lifetime.
   [[nodiscard]] bool send_cell(const CellRequest& request);
   [[nodiscard]] bool subscribe(const std::string& fingerprint_hex,
                                const std::string& channel);
@@ -109,10 +105,6 @@ class RemoteClient {
   /// and drops all local state for the id. The daemon's acknowledgement
   /// and any late result are discarded silently.
   void cancel(std::uint64_t id);
-
-  /// Drops all local state for `id` without telling the daemon (for ids
-  /// that died with a torn connection).
-  void forget(std::uint64_t id);
 
   /// Tears the connection down on purpose, keeping pending requests and
   /// subscriptions: the next call revives it and resubmits (idempotent by
@@ -154,7 +146,6 @@ class RemoteClient {
   bool fatal_ = false;  // refusal that reconnecting cannot fix
   CallStatus last_status_ = CallStatus::kOk;
   std::uint64_t last_busy_retry_ms_ = 0;
-  std::uint64_t reconnects_ = 0;
   Xorshift jitter_{0};
   std::function<void(const UpdateMsg&)> on_update_;
 

@@ -39,10 +39,6 @@ struct SamplingUnit {
   std::uint64_t interval = 0;  // plan order, the deterministic merge key
   arch::Checkpoint ckpt;
   std::unique_ptr<const WarmState> warm;  // null when warming is off
-  // False once the planning pass has stored into the code image before this
-  // unit's checkpoint: its window must not execute from the shared decode
-  // cache (the checkpointed code bytes differ from the static program).
-  bool decoded_ok = true;
 };
 
 /// The planning pass's batched warming loop: fast-forwards the oracle to
@@ -251,7 +247,6 @@ SampledStats SampledSimulator::run(const arch::Program& program,
       SamplingUnit& unit = units.emplace_back();
       unit.interval = k;
       unit.ckpt = arch::capture(master);
-      unit.decoded_ok = !master.code_dirtied();
       if (sampling_.functional_warming)
         unit.warm = std::make_unique<const WarmState>(warm);
     }
@@ -268,11 +263,9 @@ SampledStats SampledSimulator::run(const arch::Program& program,
   const auto run_unit = [&](const SamplingUnit& unit) -> UnitResult {
     SimConfig cfg = config_;
     cfg.max_instructions = window;
-    // A unit whose checkpoint carries self-modified code must not use (or
-    // rebuild) the static decode cache: force the byte-accurate engine.
-    if (!unit.decoded_ok) cfg.fast_path = false;
-    pipeline::Core core(cfg, program, unit.ckpt, unit.warm.get(),
-                        unit.decoded_ok ? decoded : nullptr);
+    // The core checks the checkpoint's code image against the shared cache
+    // and runs byte-accurately when self-modifying stores made it stale.
+    pipeline::Core core(cfg, program, unit.ckpt, unit.warm.get(), decoded);
     const std::vector<std::unique_ptr<Probe>> instances =
         core.attach_probes(probes);
     while (!core.halted() && core.committed() < sampling_.warmup &&

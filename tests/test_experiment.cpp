@@ -10,6 +10,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "common/table.hpp"
@@ -18,6 +19,7 @@
 #include "harness/harness.hpp"
 #include "harness/results.hpp"
 #include "power/probe.hpp"
+#include "trace/capture.hpp"
 #include "workloads/workloads.hpp"
 
 namespace erel {
@@ -358,6 +360,48 @@ TEST(Fingerprint, WorkloadIdentityAndSamplingMatter) {
   other = sampling;
   other.seed = 99;
   EXPECT_NE(harness::fingerprint_cell("li", config, other).value, sampled);
+}
+
+TEST(Fingerprint, TraceWorkloadsAreKeyedByFileContent) {
+  TempDir dir;
+  const std::string path = (dir.path / "cell.ertr").string();
+  const std::string cell = std::string(workloads::kTracePrefix) + path;
+  sim::SimConfig record = tiny_config();
+  record.max_instructions = 2'000;
+  const auto file_bytes = [&] {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  };
+
+  harness::Experiment exp;
+  exp.base(tiny_config()).workloads({cell}).phys_regs({48});
+  const harness::RunOptions opts = cache_opts((dir.path / "cache").string());
+
+  (void)trace::capture(workloads::assemble_workload("li"), record, path);
+  const std::string li_bytes = file_bytes();
+  const std::uint64_t li_fp =
+      harness::fingerprint_cell(cell, tiny_config(), {}).value;
+  EXPECT_EQ(exp.run(opts).simulated(), 1u);
+  EXPECT_EQ(exp.run(opts).cache_hits(), 1u);
+
+  // A different program recorded at the same path is a different cell.
+  (void)trace::capture(workloads::assemble_workload("go"), record, path);
+  ASSERT_NE(file_bytes().size(), li_bytes.size());
+  EXPECT_NE(harness::fingerprint_cell(cell, tiny_config(), {}).value, li_fp);
+  const harness::ResultSet go_run = exp.run(opts);
+  EXPECT_EQ(go_run.cache_hits(), 0u);
+  EXPECT_EQ(go_run.simulated(), 1u);
+
+  // Rewriting the first recording's bytes (a new mtime, the same content)
+  // restores the first fingerprint, and its cached result.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << li_bytes;
+  }
+  EXPECT_EQ(harness::fingerprint_cell(cell, tiny_config(), {}).value, li_fp);
+  EXPECT_EQ(exp.run(opts).cache_hits(), 1u);
 }
 
 TEST(Fingerprint, ThreadCountNeverChangesTheHash) {
@@ -818,6 +862,36 @@ TEST(TextTable, SpeedupGuardsZeroBaseline) {
   EXPECT_EQ(TextTable::speedup_pct(1.5, 0.0), "n/a");
   EXPECT_EQ(TextTable::speedup_pct(0.0, 1.5), "n/a");
   EXPECT_EQ(TextTable::speedup_pct(1.2, 1.0), "20.0%");
+}
+
+TEST(ResultSet, HmeanCi95PropagatesSampledCellsByDeltaMethod) {
+  // Two sampled cells (IPC 2.0 +- 0.1, IPC 1.0 +- 0.05) and one exact cell
+  // (IPC 0.5). hmean H = 3 / (1/2 + 1 + 2) = 6/7, and each sampled cell
+  // contributes H^2 / (n * ipc^2) * ci95: 0.3/49 and 0.6/49, so the
+  // combined half-width is sqrt(0.09 + 0.36) / 49. The exact cell adds 0.
+  harness::ResultSet rs;
+  const auto add = [&rs](const std::string& name, std::uint64_t committed,
+                         std::optional<double> ci95) {
+    harness::ExpEntry e;
+    e.key = {name, PolicyKind::Extended, 48, ""};
+    e.stats.cycles = 100;
+    e.stats.committed = committed;
+    if (ci95) {
+      e.sampled.emplace();
+      e.sampled->ipc_ci95 = *ci95;
+    }
+    rs.add(e);
+  };
+  add("li", 200, 0.1);
+  add("go", 100, 0.05);
+  add("swim", 50, std::nullopt);
+
+  EXPECT_NEAR(rs.hmean_ipc({"li", "go", "swim"}, PolicyKind::Extended, 48),
+              6.0 / 7.0, 1e-12);
+  EXPECT_NEAR(
+      rs.hmean_ipc_ci95({"li", "go", "swim"}, PolicyKind::Extended, 48),
+      std::sqrt(0.45) / 49.0, 1e-12);
+  EXPECT_EQ(rs.hmean_ipc_ci95({"swim"}, PolicyKind::Extended, 48), 0.0);
 }
 
 TEST(ResultSet, SpeedupVsZeroBaselineIsNaNNotInf) {

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -312,6 +313,86 @@ TEST(FastPathEquivalence, CheckpointWithModifiedCodeResumesByteAccurately) {
     EXPECT_EQ(core.arch_reg(core::RC::Int, 3), 7u)
         << "stale decoded record executed instead of the patched word";
   }
+
+  // A caller-shared cache of the static program is checked the same way:
+  // the core, not the caller, decides whether the restored image may run
+  // from it.
+  sim::SimConfig config;
+  config.max_instructions = 100;
+  const auto shared = std::make_shared<const arch::DecodedProgram>(patched);
+  pipeline::Core core(config, patched, ckpt, /*warm=*/nullptr, shared);
+  (void)core.run();
+  EXPECT_TRUE(core.halted());
+  EXPECT_EQ(core.arch_reg(core::RC::Int, 3), 7u)
+      << "shared decode cache trusted against a self-modified checkpoint";
+}
+
+/// A loop whose body is patched between its two passes (addi -> mul, a
+/// longer-latency op): sampling units planned in the first pass resume
+/// from the static image, units in the second pass from the patched one.
+/// Sampled fast and legacy runs must agree bit-for-bit, which they cannot
+/// if a second-pass window executes the stale decoded addi.
+arch::Program patched_between_passes_program() {
+  isa::DecodedInst repl;
+  repl.op = isa::Opcode::MUL;
+  repl.rd = 3;
+  repl.rs1 = 3;
+  repl.rs2 = 4;
+  char src[768];
+  std::snprintf(src, sizeof src, R"(
+main:
+  la   r2, patch
+  la   r6, newword
+  lw   r7, 0(r6)       ; the replacement word (mul r3, r3, r4)
+  li   r4, 3
+  li   r8, 2           ; passes
+outer:
+  li   r5, 4000
+loop:
+patch:
+  addi r3, r3, 1
+  addi r5, r5, -1
+  bne  r5, r0, loop
+  sw   r7, 0(r2)       ; patch the loop body for the next pass
+  addi r8, r8, -1
+  bne  r8, r0, outer
+  halt
+
+.data
+newword:
+  .word %u
+)",
+                static_cast<unsigned>(isa::encode(repl)));
+  return asmkit::assemble(src);
+}
+
+TEST(FastPathEquivalence, SampledRunOverSelfModifiedCheckpointsIsBitIdentical) {
+  const arch::Program program = patched_between_passes_program();
+  sim::SamplingConfig sampling;
+  sampling.period = 3'000;
+  sampling.warmup = 500;
+  sampling.detail = 1'000;
+  sampling.seed = 7;
+
+  // The oracle is off for the reason given above: fetch may run ahead of
+  // the committing patch store, identically in both engines.
+  sim::SimConfig fast_cfg;
+  fast_cfg.check_oracle = false;
+  fast_cfg.fast_path = true;
+  const sim::SampledStats fast =
+      sim::SampledSimulator(fast_cfg, sampling).run(program);
+
+  sim::SimConfig legacy_cfg = fast_cfg;
+  legacy_cfg.fast_path = false;
+  const sim::SampledStats legacy =
+      sim::SampledSimulator(legacy_cfg, sampling).run(program);
+
+  ASSERT_GE(fast.samples.size(), 6u) << "units on both sides of the patch";
+  EXPECT_EQ(fast.total_instructions, legacy.total_instructions);
+  EXPECT_TRUE(fast.samples == legacy.samples);
+  EXPECT_EQ(fast.estimate.cycles, legacy.estimate.cycles);
+  EXPECT_EQ(fast.measured.cycles, legacy.measured.cycles);
+  EXPECT_TRUE(fast.registry == legacy.registry);
 }
 
 /// I-side cache-access events: fetch emits one event per line charged, so

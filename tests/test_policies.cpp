@@ -2,39 +2,13 @@
 // three mechanisms through exact §2/§3/§4 scenarios without the pipeline.
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "core/release_policy.hpp"
 #include "core/rename_history.hpp"
 #include "core/types.hpp"
+#include "fake_hooks.hpp"
 
 namespace erel::core {
 namespace {
-
-/// Minimal pipeline stand-in: a map of in-flight rename records plus an
-/// explicit pending-branch list.
-class FakeHooks : public PipelineHooks {
- public:
-  RenameRec* find_inflight(InstSeq seq) override {
-    const auto it = inflight.find(seq);
-    return it == inflight.end() ? nullptr : &it->second;
-  }
-  bool branch_pending_between(InstSeq lo, InstSeq hi) const override {
-    for (const InstSeq b : pending) {
-      if (b > lo && b < hi) return true;
-    }
-    return false;
-  }
-  InstSeq newest_pending_branch() const override {
-    return pending.empty() ? kNoSeq : pending.back();
-  }
-  unsigned pending_branch_count() const override {
-    return static_cast<unsigned>(pending.size());
-  }
-
-  std::map<InstSeq, RenameRec> inflight;
-  std::vector<InstSeq> pending;
-};
 
 /// Test fixture mimicking the RenameUnit's call sequence for a single-class
 /// instruction stream. Checkpoints go through a rename history attached to

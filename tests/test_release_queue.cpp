@@ -4,13 +4,13 @@
 // the extended policy leaves on LU records.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "core/release_policy.hpp"
 #include "core/release_queue.hpp"
 #include "core/rename_history.hpp"
+#include "fake_hooks.hpp"
 
 namespace erel::core {
 namespace {
@@ -221,27 +221,6 @@ TEST(ReleaseQueue, LuOfDroppedLevelCommitsWithoutReleasing) {
 }
 
 // ---- the RwC mark, through the extended policy ----
-
-class FakeHooks : public PipelineHooks {
- public:
-  RenameRec* find_inflight(InstSeq seq) override {
-    const auto it = inflight.find(seq);
-    return it == inflight.end() ? nullptr : &it->second;
-  }
-  bool branch_pending_between(InstSeq lo, InstSeq hi) const override {
-    for (const InstSeq b : pending)
-      if (b > lo && b < hi) return true;
-    return false;
-  }
-  InstSeq newest_pending_branch() const override {
-    return pending.empty() ? kNoSeq : pending.back();
-  }
-  unsigned pending_branch_count() const override {
-    return static_cast<unsigned>(pending.size());
-  }
-  std::map<InstSeq, RenameRec> inflight;
-  std::vector<InstSeq> pending;
-};
 
 /// Extended policy over one class, renaming "rd = op(rs1)" and recovering
 /// from mispredictions the way the RenameUnit and the pipeline do.

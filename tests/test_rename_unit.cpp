@@ -13,30 +13,10 @@
 #include <vector>
 
 #include "core/rename_unit.hpp"
+#include "fake_hooks.hpp"
 
 namespace erel::core {
 namespace {
-
-class FakeHooks : public PipelineHooks {
- public:
-  RenameRec* find_inflight(InstSeq seq) override {
-    const auto it = recs.find(seq);
-    return it == recs.end() ? nullptr : &it->second;
-  }
-  bool branch_pending_between(InstSeq lo, InstSeq hi) const override {
-    for (const InstSeq b : pending)
-      if (b > lo && b < hi) return true;
-    return false;
-  }
-  InstSeq newest_pending_branch() const override {
-    return pending.empty() ? kNoSeq : pending.back();
-  }
-  unsigned pending_branch_count() const override {
-    return static_cast<unsigned>(pending.size());
-  }
-  std::map<InstSeq, RenameRec> recs;
-  std::vector<InstSeq> pending;
-};
 
 isa::DecodedInst make_inst(isa::Opcode op, unsigned rd, unsigned rs1,
                            unsigned rs2) {
@@ -57,7 +37,7 @@ class RenameUnitTest : public testing::Test {
 
   RenameRec& rename(const isa::DecodedInst& inst, InstSeq seq,
                     std::uint64_t cycle = 0) {
-    RenameRec& rec = hooks.recs[seq];
+    RenameRec& rec = hooks.inflight[seq];
     rec = RenameRec{};
     EXPECT_TRUE(unit->try_rename(inst, seq, rec, cycle));
     return rec;
@@ -139,8 +119,8 @@ TEST_F(RenameUnitTest, MispredictRestoresBothClassesAndDropsYounger) {
   // Squash back to branch 1: free wrong-path destinations, restore maps.
   unit->on_squash_entry(b, 5);
   unit->on_squash_entry(a, 5);
-  hooks.recs.erase(3);
-  hooks.recs.erase(4);
+  hooks.inflight.erase(3);
+  hooks.inflight.erase(4);
   unit->on_branch_mispredicted(1);
   hooks.pending.clear();
   EXPECT_EQ(unit->rf(RC::Int).map.get(5).phys, int5);
@@ -189,7 +169,7 @@ TEST_F(RenameUnitTest, ExceptionFlushRestoresFromIomt) {
   EXPECT_NE(unit->rf(RC::Int).map.get(5).phys, committed);
   // Flush: squash the in-flight one, restore the architectural map.
   unit->on_squash_entry(second, 4);
-  hooks.recs.clear();
+  hooks.inflight.clear();
   unit->on_exception_flush(4);
   EXPECT_EQ(unit->rf(RC::Int).map.get(5).phys, committed);
   EXPECT_EQ(unit->pending_checkpoints(), 0u);
@@ -205,9 +185,6 @@ int g_counting_policy_plans = 0;
 TEST_F(RenameUnitTest, CustomPolicyFactoryIsUsed) {
   struct CountingPolicy final : ReleasePolicy {
     using ReleasePolicy::ReleasePolicy;
-    [[nodiscard]] PolicyKind kind() const override {
-      return PolicyKind::Conventional;
-    }
     DestPlan plan_dest(unsigned rd, InstSeq, RenameRec& rec,
                        std::uint64_t) override {
       ++g_counting_policy_plans;
@@ -590,11 +567,11 @@ DiffStats run_differential(PolicyKind kind, std::uint64_t seed,
   std::uint64_t cycle = 0;
 
   const auto squash_younger_than = [&](InstSeq boundary) {
-    while (!hooks.recs.empty() && hooks.recs.rbegin()->first > boundary) {
-      const InstSeq seq = hooks.recs.rbegin()->first;
-      unit.on_squash_entry(hooks.recs.rbegin()->second, cycle);
+    while (!hooks.inflight.empty() && hooks.inflight.rbegin()->first > boundary) {
+      const InstSeq seq = hooks.inflight.rbegin()->first;
+      unit.on_squash_entry(hooks.inflight.rbegin()->second, cycle);
       ref.squash(seq);
-      hooks.recs.erase(seq);
+      hooks.inflight.erase(seq);
     }
   };
 
@@ -602,7 +579,7 @@ DiffStats run_differential(PolicyKind kind, std::uint64_t seed,
     ++cycle;
     const unsigned roll = static_cast<unsigned>(rng() % 100);
     if (roll < 50) {
-      if (hooks.recs.size() >= kMaxInflight) continue;
+      if (hooks.inflight.size() >= kMaxInflight) continue;
       // A stale mapping names a dead version, released early before an
       // exception flush; programs redefine such a register before reading
       // it (§4.3), so the stream does too.
@@ -618,11 +595,11 @@ DiffStats run_differential(PolicyKind kind, std::uint64_t seed,
       const bool checkpoint = inst.is_cond_branch() || inst.is_indirect_jump();
       if (checkpoint && !unit.can_checkpoint()) continue;
       const InstSeq seq = next_seq;
-      RenameRec& rec = hooks.recs[seq];
+      RenameRec& rec = hooks.inflight[seq];
       const bool renamed = unit.try_rename(inst, seq, rec, cycle);
       EXPECT_EQ(ref.rename(inst, seq, hooks.pending), renamed);
       if (!renamed) {
-        hooks.recs.erase(seq);
+        hooks.inflight.erase(seq);
         ++stats.stalls;
         continue;
       }
@@ -646,23 +623,23 @@ DiffStats run_differential(PolicyKind kind, std::uint64_t seed,
       if (hooks.pending.empty()) continue;
       const InstSeq branch = hooks.pending[rng() % hooks.pending.size()];
       squash_younger_than(branch);
-      hooks.recs.at(branch).rel_bits = 0;
+      hooks.inflight.at(branch).rel_bits = 0;
       std::erase_if(hooks.pending, [branch](InstSeq b) { return b >= branch; });
       unit.on_branch_mispredicted(branch);
       ref.mispredict(branch);
       next_seq = branch + 1;  // squashed sequence numbers are reused
       ++stats.mispredicts;
     } else if (roll < 99) {
-      if (hooks.recs.empty()) continue;
-      const InstSeq seq = hooks.recs.begin()->first;
+      if (hooks.inflight.empty()) continue;
+      const InstSeq seq = hooks.inflight.begin()->first;
       if (std::find(hooks.pending.begin(), hooks.pending.end(), seq) !=
           hooks.pending.end())
         continue;  // an unresolved branch cannot commit
-      RenameRec rec = hooks.recs.begin()->second;
+      RenameRec rec = hooks.inflight.begin()->second;
       if (rec.has_dst())
         unit.rf(rc_from(rec.cd)).write_value(rec.pd, seq, cycle);
       unit.on_commit(rec, seq, cycle);
-      hooks.recs.erase(seq);
+      hooks.inflight.erase(seq);
       ref.commit(seq);
       ++stats.commits;
     } else {
@@ -672,7 +649,7 @@ DiffStats run_differential(PolicyKind kind, std::uint64_t seed,
       ref.exception_flush();
       ++stats.flushes;
     }
-    ref.expect_matches(unit, hooks.recs);
+    ref.expect_matches(unit, hooks.inflight);
     if (testing::Test::HasFailure()) {
       ADD_FAILURE() << "diverged at step " << step << " (seed " << seed << ")";
       break;

@@ -12,13 +12,9 @@
 // SIGTERM, or a kShutdown frame from `ereld --stop`.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
-#include <optional>
 #include <string>
 
-#include "common/text_codec.hpp"
+#include "cli_flags.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
 
@@ -30,21 +26,9 @@ void handle_signal(int) {
   if (g_daemon != nullptr) g_daemon->stop();  // atomic store + pipe write
 }
 
-/// Strict numeric option: decimal digits that fit `out`'s type. Anything
-/// else names the flag and exits 2.
-template <class T>
-void numeric_flag(const char* argv0, const char* flag, const std::string& text,
-                  T& out) {
-  const std::optional<T> v = erel::codec::parse_unsigned<T>(text);
-  if (!v) {
-    std::fprintf(stderr, "%s: invalid value '%s' for %s (expected 0..%llu)\n",
-                 argv0, text.c_str(), flag,
-                 static_cast<unsigned long long>(
-                     std::numeric_limits<T>::max()));
-    std::exit(2);
-  }
-  out = *v;
-}
+/// Worker-pool ceiling for --workers: each worker is an OS thread, so a
+/// typo such as --workers=4000000000 is a usage error, not a thread storm.
+constexpr unsigned kMaxWorkers = 256;
 
 void usage(const char* argv0) {
   std::printf(
@@ -53,7 +37,8 @@ void usage(const char* argv0) {
       "  --host=ADDR          bind address (default 127.0.0.1)\n"
       "  --port=N             listen port (default 0 = ephemeral)\n"
       "  --cache-dir=PATH     on-disk result cache (default: none)\n"
-      "  --workers=N          simulation workers (0 = hardware default)\n"
+      "  --workers=N          simulation workers, at most 256\n"
+      "                       (0 = hardware default)\n"
       "  --tick-ms=N          subscriber push cadence (default 25)\n"
       "  --snapshot-cycles=N  registry snapshot interval (default 10000)\n"
       "  --max-queue=N        cells queued-or-running before kBusy (0 = off)\n"
@@ -84,46 +69,30 @@ int stop_daemon(const std::string& endpoint) {
 int main(int argc, char** argv) {
   erel::service::ExperimentDaemon::Options opts;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* flag) -> std::string {
-      const std::size_t len = std::strlen(flag);
-      if (arg.size() > len && arg[len] == '=') return arg.substr(len + 1);
-      if (i + 1 < argc) return argv[++i];
-      std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
-      std::exit(2);
-    };
-    const auto number = [&](const char* flag, auto& out) {
-      numeric_flag(argv[0], flag, value(flag), out);
-    };
-    const auto matches = [&](const char* flag) {
-      const std::size_t len = std::strlen(flag);
-      return arg == flag ||
-             (arg.size() > len && arg.compare(0, len, flag) == 0 &&
-              arg[len] == '=');
-    };
-    if (arg == "--help" || arg == "-h") {
+    erel::flags::Arg arg(argc, argv, i);
+    if (arg.text() == "--help" || arg.text() == "-h") {
       usage(argv[0]);
       return 0;
-    } else if (matches("--stop")) {
-      return stop_daemon(value("--stop"));
-    } else if (matches("--host")) {
-      opts.host = value("--host");
-    } else if (matches("--port")) {
-      number("--port", opts.port);
-    } else if (matches("--cache-dir")) {
-      opts.cache_dir = value("--cache-dir");
-    } else if (matches("--workers")) {
-      number("--workers", opts.workers);
-    } else if (matches("--tick-ms")) {
-      number("--tick-ms", opts.tick_ms);
-    } else if (matches("--snapshot-cycles")) {
-      number("--snapshot-cycles", opts.snapshot_interval_cycles);
-    } else if (matches("--max-queue")) {
-      number("--max-queue", opts.max_queue);
-    } else if (matches("--max-cache-bytes")) {
-      number("--max-cache-bytes", opts.max_cache_bytes);
-    } else if (matches("--busy-retry-ms")) {
-      number("--busy-retry-ms", opts.busy_retry_ms);
+    } else if (arg.is("--stop")) {
+      return stop_daemon(arg.value());
+    } else if (arg.is("--host")) {
+      opts.host = arg.value();
+    } else if (arg.is("--port")) {
+      arg.number(opts.port);
+    } else if (arg.is("--cache-dir")) {
+      opts.cache_dir = arg.value();
+    } else if (arg.is("--workers")) {
+      arg.number(opts.workers, kMaxWorkers);
+    } else if (arg.is("--tick-ms")) {
+      arg.number(opts.tick_ms);
+    } else if (arg.is("--snapshot-cycles")) {
+      arg.number(opts.snapshot_interval_cycles);
+    } else if (arg.is("--max-queue")) {
+      arg.number(opts.max_queue);
+    } else if (arg.is("--max-cache-bytes")) {
+      arg.number(opts.max_cache_bytes);
+    } else if (arg.is("--busy-retry-ms")) {
+      arg.number(opts.busy_retry_ms);
     } else {
       std::fprintf(stderr, "%s: unknown option %s\n", argv[0], argv[i]);
       usage(argv[0]);

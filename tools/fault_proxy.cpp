@@ -13,17 +13,14 @@
 // (scripts parse it — ephemeral --port=0 is allowed) and forwards until
 // SIGINT or SIGTERM.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
-#include <optional>
 #include <string>
 
 #include <poll.h>
 #include <unistd.h>
 
-#include "common/text_codec.hpp"
+#include "cli_flags.hpp"
 #include "net/fault.hpp"
 #include "net/socket.hpp"
 
@@ -33,22 +30,6 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 
 void handle_signal(int) { g_stop = 1; }
-
-/// Strict numeric option: decimal digits that fit `out`'s type. Anything
-/// else names the flag and exits 2.
-template <class T>
-void numeric_flag(const char* argv0, const char* flag, const std::string& text,
-                  T& out) {
-  const std::optional<T> v = erel::codec::parse_unsigned<T>(text);
-  if (!v) {
-    std::fprintf(stderr, "%s: invalid value '%s' for %s (expected 0..%llu)\n",
-                 argv0, text.c_str(), flag,
-                 static_cast<unsigned long long>(
-                     std::numeric_limits<T>::max()));
-    std::exit(2);
-  }
-  out = *v;
-}
 
 void usage(const char* argv0) {
   std::printf(
@@ -68,34 +49,18 @@ int main(int argc, char** argv) {
   std::uint16_t port = 0;
   std::uint64_t seed = 0;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* flag) -> std::string {
-      const std::size_t len = std::strlen(flag);
-      if (arg.size() > len && arg[len] == '=') return arg.substr(len + 1);
-      if (i + 1 < argc) return argv[++i];
-      std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
-      std::exit(2);
-    };
-    const auto number = [&](const char* flag, auto& out) {
-      numeric_flag(argv[0], flag, value(flag), out);
-    };
-    const auto matches = [&](const char* flag) {
-      const std::size_t len = std::strlen(flag);
-      return arg == flag ||
-             (arg.size() > len && arg.compare(0, len, flag) == 0 &&
-              arg[len] == '=');
-    };
-    if (arg == "--help" || arg == "-h") {
+    erel::flags::Arg arg(argc, argv, i);
+    if (arg.text() == "--help" || arg.text() == "-h") {
       usage(argv[0]);
       return 0;
-    } else if (matches("--upstream")) {
-      upstream = value("--upstream");
-    } else if (matches("--host")) {
-      host = value("--host");
-    } else if (matches("--port")) {
-      number("--port", port);
-    } else if (matches("--seed")) {
-      number("--seed", seed);
+    } else if (arg.is("--upstream")) {
+      upstream = arg.value();
+    } else if (arg.is("--host")) {
+      host = arg.value();
+    } else if (arg.is("--port")) {
+      arg.number(port);
+    } else if (arg.is("--seed")) {
+      arg.number(seed);
     } else {
       std::fprintf(stderr, "%s: unknown option %s\n", argv[0], argv[i]);
       usage(argv[0]);
